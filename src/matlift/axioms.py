@@ -1,6 +1,6 @@
-"""Axiom checkers for circuit, independence, and basis families.
+"""Axiom checkers for circuit and basis families.
 
-All three checkers take a raw family, so candidates can be screened before a
+Both checkers take a raw family, so candidates can be screened before a
 validated matroid exists. They return a report instead of raising; bulk scans
 over garbage input stay cheap and callers decide what a failure means.
 
@@ -17,9 +17,6 @@ Axiom identifiers:
   inside their union avoiding e; witness ``(c1, c2, e)``
 * ``AC2!`` strong elimination: additionally, for each d in c1 minus c2 the
   eliminating circuit can be chosen through d; witness ``(c1, c2, e, d)``
-* ``AI0`` the empty set is independent
-* ``AI1`` subsets of independent sets are independent; witness ``(x, z)``
-* ``AI2`` augmentation; witness ``(x, y)``
 * ``AB0`` at least one basis
 * ``AB1`` equal basis cardinalities; witness ``(b1, b2)``
 * ``AB2`` basis exchange; witness ``(b1, b2, x)``
@@ -29,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sets import GroundSet, SetFamily, bit_indices, submasks
+from .sets import GroundSet, SetFamily, bit_indices
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,7 @@ class Violation:
     witness: tuple[int, ...]
 
     def describe(self, ground: GroundSet) -> str:
-        if self.axiom in ("AC0", "AI0", "AB0"):
+        if self.axiom in ("AC0", "AB0"):
             return f"{self.axiom} violated"
         if self.axiom in ("AC2", "AB2"):
             a, b, e = self.witness
@@ -118,26 +115,6 @@ def check_circuit_axioms(
                         else:
                             wit = (c2, c1, e, d)
                         return _report(ground, family, Violation("AC2!", wit))
-    return _report(ground, family)
-
-
-def check_independence_axioms(ground: GroundSet, family: SetFamily) -> AxiomReport:
-    """Check a candidate independence family (all three axioms, exhaustively)."""
-    ground.check_mask(family.union_mask if family else 0)
-    members = set(family.members)
-    if 0 not in members:
-        return _report(ground, family, Violation("AI0", (0,)))
-    for x in family.members:
-        for z in submasks(x):
-            if z not in members:
-                return _report(ground, family, Violation("AI1", (x, z)))
-    for x in family.members:
-        nx = x.bit_count()
-        for y in family.members:
-            if nx >= y.bit_count():
-                continue
-            if not any(x | (1 << b) in members for b in bit_indices(y & ~x)):
-                return _report(ground, family, Violation("AI2", (x, y)))
     return _report(ground, family)
 
 

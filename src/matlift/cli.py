@@ -216,8 +216,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
-    cat = enumerate_matroids(args.n)
-    records = pair_records(cat)
+    records = pair_records(args.n)
     lines = [rec.line() for rec in records]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

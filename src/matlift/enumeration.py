@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from . import quotient as _quotient
 from .axioms import check_basis_exchange, check_circuit_axioms
@@ -53,6 +54,23 @@ class MatroidCatalog:
 
     def index_of(self, m: Matroid) -> int:
         return self.entries.index(m)
+
+    @cached_property
+    def certified(self) -> dict[tuple[int, int], int]:
+        """Rank step of every ordered pair (i, j) of entries that certifies.
+
+        Filled on first access by one certification pass in i-major order;
+        refused pairs are absent. Every sweep and the pair records read this
+        one shared table instead of certifying catalog pairs again, so
+        callers must not modify it.
+        """
+        table = {}
+        for i, m in enumerate(self.entries):
+            for j, l in enumerate(self.entries):
+                cert = _quotient.certify_quotient(m, l)
+                if cert.holds:
+                    table[(i, j)] = cert.step_s
+        return table
 
 
 def _as_ground(ground: Union[GroundSet, int]) -> GroundSet:
@@ -110,44 +128,35 @@ def _enumerate_by_circuits(g: GroundSet) -> list[Matroid]:
 # ------------------------------------------------------------ witness search
 
 
-def witness_search(m: Matroid, l: Matroid, x_label: str = "x") -> Optional[Matroid]:
-    """Find a one-element lift relating ``m`` to ``l`` by brute catalog scan.
+def _scan_witnesses(m: Matroid, l: Matroid, x_label: str) -> Iterator[Matroid]:
+    """One-element lift witnesses for (m, l), lazily, in catalog order.
 
-    Scans every matroid on the ground set extended by ``x_label`` and returns
-    the first entry N (in catalog order) with N contracted by x equal to
-    ``m`` and N minus x equal to ``l``. Returns None when no entry verifies;
-    in particular when the ranks do not differ by exactly one, since no
-    witness can exist then.
+    Scans every matroid N on the ground set extended by ``x_label`` and
+    yields those with N contracted by x equal to ``m`` and N minus x equal to
+    ``l``. Yields nothing when the ranks do not differ by exactly one, since
+    no witness can exist then.
     """
     if m.ground != l.ground:
         raise LabelClash(f"operands live on {m.ground!r} and {l.ground!r}")
     if x_label in m.ground.labels:
         raise LabelClash(f"lift label {x_label!r} already in the ground set")
     if l.rank() != m.rank() + 1:
-        return None
+        return
     big = m.ground.extend([x_label])
     x_mask = 1 << (len(big) - 1)
     for n in enumerate_matroids(big).entries:
         if contract(n, x_mask) == m and delete(n, x_mask) == l:
-            return n
-    return None
+            yield n
+
+
+def witness_search(m: Matroid, l: Matroid, x_label: str = "x") -> Optional[Matroid]:
+    """The first one-element lift witness in catalog order, or None."""
+    return next(_scan_witnesses(m, l, x_label), None)
 
 
 def all_witnesses(m: Matroid, l: Matroid, x_label: str = "x") -> list[Matroid]:
     """Every one-element lift witness for (m, l), by exhaustive scan."""
-    if m.ground != l.ground:
-        raise LabelClash(f"operands live on {m.ground!r} and {l.ground!r}")
-    if x_label in m.ground.labels:
-        raise LabelClash(f"lift label {x_label!r} already in the ground set")
-    if l.rank() != m.rank() + 1:
-        return []
-    big = m.ground.extend([x_label])
-    x_mask = 1 << (len(big) - 1)
-    return [
-        n
-        for n in enumerate_matroids(big).entries
-        if contract(n, x_mask) == m and delete(n, x_mask) == l
-    ]
+    return list(_scan_witnesses(m, l, x_label))
 
 
 # -------------------------------------------------------------- pair catalog
@@ -173,16 +182,26 @@ class PairRecord:
         return pair_line(self.idx_m, self.idx_l, self.quotient, self.s, self.witness)
 
 
-def pair_records(catalog: MatroidCatalog) -> list[PairRecord]:
-    """Quotient test and witness status for every ordered catalog pair."""
+def pair_records(catalog: Union[MatroidCatalog, GroundSet, int]) -> list[PairRecord]:
+    """Quotient test and witness status for every ordered catalog pair.
+
+    Takes a catalog, or a ground set (or its size) whose full catalog is
+    enumerated; ground sets above ``PAIR_CATALOG_CAP`` elements raise
+    GroundTooLarge before any enumeration starts.
+    """
+    g = catalog.ground if isinstance(catalog, MatroidCatalog) else _as_ground(catalog)
+    if len(g) > PAIR_CATALOG_CAP:
+        raise GroundTooLarge(f"pair records handle at most {PAIR_CATALOG_CAP} elements")
+    if not isinstance(catalog, MatroidCatalog):
+        catalog = enumerate_matroids(g)
     records = []
     entries = catalog.entries
-    labels = fresh_labels(catalog.ground, catalog.n)
+    certified = catalog.certified
+    labels = fresh_labels(g, len(g))
     for i, m in enumerate(entries):
         for j, l in enumerate(entries):
-            cert = _quotient.certify_quotient(m, l)
             s = l.rank() - m.rank()
-            if not cert.holds:
+            if (i, j) not in certified:
                 records.append(PairRecord(i, j, False, s, "na"))
                 continue
             if s == 0:
@@ -194,21 +213,6 @@ def pair_records(catalog: MatroidCatalog) -> list[PairRecord]:
             except ConstructionFailure:
                 status = "FAIL"
             records.append(PairRecord(i, j, True, s, status))
-    return records
-
-
-def pair_catalog(
-    ground: Union[GroundSet, int], path: Optional[str] = None
-) -> list[PairRecord]:
-    """Pair records for the full catalog on ``ground``; optionally persisted."""
-    g = _as_ground(ground)
-    if len(g) > PAIR_CATALOG_CAP:
-        raise GroundTooLarge(f"pair catalogs handle at most {PAIR_CATALOG_CAP} elements")
-    records = pair_records(enumerate_matroids(g))
-    if path is not None:
-        with open(path, "w", encoding="ascii") as fh:
-            for rec in records:
-                fh.write(rec.line() + "\n")
     return records
 
 

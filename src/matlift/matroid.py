@@ -89,11 +89,6 @@ class Matroid:
     # --------------------------------------------------------- constructors
 
     @classmethod
-    def from_circuits(cls, ground: GroundSet, circuits: Iterable[int]) -> "Matroid":
-        """Build and validate a matroid from candidate circuits."""
-        return cls(ground, circuits)
-
-    @classmethod
     def from_bases(cls, ground: GroundSet, bases: SetFamily | Iterable[int]) -> "Matroid":
         """Build a matroid from its bases (checked for the exchange axiom).
 

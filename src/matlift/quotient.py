@@ -39,7 +39,7 @@ from .errors import (
 )
 from .matroid import FundamentalFamily, Matroid
 from .minors import contract, delete
-from .sets import SetFamily, bit_indices, minimal_members, submasks
+from .sets import SetFamily, bit_indices, fresh_labels, minimal_members, submasks
 from .textio import serialize_matroid_text
 
 
@@ -126,6 +126,14 @@ def certify_quotient(
     return QuotientCertificate(m, l, step, coverings)
 
 
+def _certified(m: Matroid, l: Matroid) -> QuotientCertificate:
+    """The certificate for (m, l); QuotientViolation when the pair is refused."""
+    outcome = certify_quotient(m, l)
+    if not outcome.holds:
+        raise QuotientViolation(outcome.circuit, outcome.uncovered, outcome.describe())
+    return outcome
+
+
 # ------------------------------------------------------------- lift witness
 
 
@@ -173,9 +181,7 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
     ConstructionFailure (with a replayable dump) if any verification step
     fails, which would contradict the existence theorem this implements.
     """
-    outcome = certify_quotient(m, l)
-    if not outcome.holds:
-        raise QuotientViolation(outcome.circuit, outcome.uncovered, outcome.describe())
+    outcome = _certified(m, l)
     s = outcome.step_s
     if s < 1:
         raise RankMismatch("lift construction needs rank step >= 1, got 0")
@@ -375,9 +381,7 @@ def remark_circuits(m: Matroid, l: Matroid, j: int) -> tuple[SetFamily, AxiomRep
     plus the strong-mode axiom report of that family. The family is passed
     through a defensive minimality filter that is asserted to change nothing.
     """
-    outcome = certify_quotient(m, l)
-    if not outcome.holds:
-        raise QuotientViolation(outcome.circuit, outcome.uncovered, outcome.describe())
+    outcome = _certified(m, l)
     if j < 0 or j > outcome.step_s + 1:
         raise PreconditionFailure(
             f"stage index {j} outside 0..{outcome.step_s + 1}"
@@ -420,15 +424,11 @@ def remark_comparison(
     index i (the literal reading). Nothing is asserted here; callers decide
     what agreement to require.
     """
-    outcome = certify_quotient(m, l)
-    if not outcome.holds:
-        raise QuotientViolation(outcome.circuit, outcome.uncovered, outcome.describe())
+    outcome = _certified(m, l)
     s = outcome.step_s
     if s < 1:
         raise RankMismatch("comparison needs rank step >= 1")
     if x_labels is None:
-        from .sets import fresh_labels
-
         x_labels = fresh_labels(m.ground, s)
     chain = factor_homotopy(m, l, x_labels, witness=witness)
     families = {j: remark_circuits(m, l, j)[0] for j in range(s + 2)}
@@ -614,9 +614,7 @@ def bigcyclo_check(m: Matroid, l: Matroid) -> SetFamily:
     set of nullity step+1 that is independent in l would contradict the
     construction's minimality and raises LemmaCounterexample.
     """
-    outcome = certify_quotient(m, l)
-    if not outcome.holds:
-        raise QuotientViolation(outcome.circuit, outcome.uncovered, outcome.describe())
+    outcome = _certified(m, l)
     s = outcome.step_s
     checked = m.cyclic_sets(nullity=s + 1)
     for a in checked:

@@ -58,19 +58,6 @@ def compress(mask: int, keep: int) -> int:
     return out
 
 
-def expand(mask: int, keep: int) -> int:
-    """Inverse of :func:`compress`: spread ``mask`` onto the bits of ``keep``."""
-    out = 0
-    pos = 0
-    while keep:
-        low = keep & -keep
-        if mask >> pos & 1:
-            out |= low
-        pos += 1
-        keep ^= low
-    return out
-
-
 def _canon_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
@@ -243,19 +230,3 @@ def minimal_members(family: SetFamily | Iterable[int]) -> SetFamily:
         if not any(ms[j] != m and ms[j] & ~m == 0 for j in range(i)):
             keep.append(m)
     return SetFamily(keep)
-
-
-def maximal_members(family: SetFamily | Iterable[int]) -> SetFamily:
-    """Members of ``family`` with no proper superset in the family."""
-    fam = family if isinstance(family, SetFamily) else SetFamily(family)
-    ms = fam.members
-    keep = []
-    for i, m in enumerate(ms):
-        if not any(ms[j] != m and m & ~ms[j] == 0 for j in range(i + 1, len(ms))):
-            keep.append(m)
-    return SetFamily(keep)
-
-
-def trace(y: int, z: int) -> int:
-    """Intersection of two subset masks. Symmetric."""
-    return y & z

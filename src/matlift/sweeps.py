@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import quotient
 from .enumeration import (
@@ -63,6 +63,18 @@ CatalogMap = dict[int, MatroidCatalog]
 
 def build_catalogs(max_n: int, method: str = "basis") -> CatalogMap:
     return {n: enumerate_matroids(n, method) for n in range(1, max_n + 1)}
+
+
+def certified_pairs(
+    catalogs: CatalogMap, max_n: int, min_step: int = 0
+) -> Iterator[tuple[Matroid, Matroid, int]]:
+    """``(m, l, step)`` for every certified catalog pair with n <= ``max_n``
+    and step >= ``min_step``, by n, then in each catalog's table order."""
+    for n in range(1, max_n + 1):
+        cat = catalogs[n]
+        for (i, j), s in cat.certified.items():
+            if s >= min_step:
+                yield cat.entries[i], cat.entries[j], s
 
 
 # ------------------------------------------------------------------ sweep 1
@@ -137,36 +149,27 @@ def lift_criterion_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) 
     """
     t0 = time.perf_counter()
     catalogs = catalogs or build_catalogs(max_n)
-    pairs = certified = witnesses = 0
+    pairs = sum(len(catalogs[n]) ** 2 for n in range(1, max_n + 1))
+    certified = witnesses = 0
     nullity_within = nullity_beyond = 0
-    for n in range(1, max_n + 1):
-        cat = catalogs[n]
-        for m in cat.entries:
-            for l in cat.entries:
-                pairs += 1
-                cert = quotient.certify_quotient(m, l)
-                if not cert.holds:
-                    continue
-                certified += 1
-                s = cert.step_s
-                for c in l.circuits:
-                    if m.nullity(c) <= s + 1:
-                        nullity_within += 1
-                    else:
-                        nullity_beyond += 1
-                if s < 1:
-                    continue
-                try:
-                    w = quotient.lift_witness(m, l, fresh_labels(m.ground, s))
-                except ConstructionFailure as exc:
-                    return _outcome(
-                        "lift-criterion", t0, False, f"construction failed: {exc}"
-                    )
-                if not w.verified:
-                    return _outcome(
-                        "lift-criterion", t0, False, f"unverified witness for {m!r}, {l!r}"
-                    )
-                witnesses += 1
+    for m, l, s in certified_pairs(catalogs, max_n):
+        certified += 1
+        for c in l.circuits:
+            if m.nullity(c) <= s + 1:
+                nullity_within += 1
+            else:
+                nullity_beyond += 1
+        if s < 1:
+            continue
+        try:
+            w = quotient.lift_witness(m, l, fresh_labels(m.ground, s))
+        except ConstructionFailure as exc:
+            return _outcome("lift-criterion", t0, False, f"construction failed: {exc}")
+        if not w.verified:
+            return _outcome(
+                "lift-criterion", t0, False, f"unverified witness for {m!r}, {l!r}"
+            )
+        witnesses += 1
     details = (
         f"{pairs} pairs, {certified} certified, {witnesses} witnesses verified; "
         f"circuit nullity <= step+1 observed {nullity_within}/{nullity_within + nullity_beyond}"
@@ -195,12 +198,11 @@ def witness_oracle_sweep(max_n: int = 3, catalogs: Optional[CatalogMap] = None) 
     agree = 0
     for n in range(1, max_n + 1):
         cat = catalogs[n]
-        for m in cat.entries:
-            for l in cat.entries:
+        for i, m in enumerate(cat.entries):
+            for j, l in enumerate(cat.entries):
                 if l.rank() != m.rank() + 1:
                     continue
-                cert = quotient.certify_quotient(m, l)
-                cert_ok = cert.holds and cert.step_s == 1
+                cert_ok = cat.certified.get((i, j)) == 1
                 found = all_witnesses(m, l)
                 if cert_ok != bool(found):
                     return _outcome(
@@ -231,46 +233,67 @@ def witness_oracle_sweep(max_n: int = 3, catalogs: Optional[CatalogMap] = None) 
 
 # ------------------------------------------------------- lemma sweep helpers
 
+_MATROID_STATEMENTS = ("span", "extension", "elimination", "base-family")
+_ALL_STATEMENTS = _MATROID_STATEMENTS + ("bigcyclo", "rank-order", "transitivity")
 
-def matroid_lemma_checks(m: Matroid) -> dict[str, int]:
-    """Run every per-matroid checked statement exhaustively on one matroid.
 
+def _sampled(items: Iterable, sample: Optional[tuple[random.Random, int]]) -> Iterable:
+    """``items`` as they come, or shuffled and cut to ``k`` for ``(rng, k)``."""
+    if sample is None:
+        return items
+    rng, k = sample
+    pool = list(items)
+    rng.shuffle(pool)
+    return pool[:k]
+
+
+def matroid_lemma_checks(
+    m: Matroid, sample: Optional[tuple[random.Random, int]] = None
+) -> dict[str, int]:
+    """Run every per-matroid checked statement on one matroid.
+
+    Exhaustive by default. With ``sample = (rng, k)`` the span statement
+    still runs on every dependent set, while the cyclic-pair and rooted-circuit
+    pools are each shuffled by ``rng`` and cut to their first ``k`` entries.
     Counts checked instances per statement; a counterexample propagates as
     LemmaCounterexample.
     """
     n = len(m.ground)
-    counts = {"span": 0, "extension": 0, "elimination": 0, "base-family": 0}
+    counts = dict.fromkeys(_MATROID_STATEMENTS, 0)
     cyclic = list(m.cyclic_sets())
     for a in range(1 << n):
         if m.is_dependent(a):
             quotient.lemma_span_witness(m, a)
             counts["span"] += 1
-    for a1 in cyclic:
-        for a2 in cyclic:
-            if a1 == a2 or a2 & ~a1 == 0:
-                continue
-            quotient.cyclic_extension(m, a1, a2)
-            counts["extension"] += 1
-            for a in bit_indices(a1 & a2):
-                quotient.cyclic_elimination(m, a1, a2, a)
-                counts["elimination"] += 1
-    for a in cyclic:
-        if a == 0:
-            continue
-        for circ in m.circuits:
-            if circ & ~a == 0:
-                for d in bit_indices(circ):
-                    quotient.base_family_witness(m, a, circ, d)
-                    counts["base-family"] += 1
+    cyclic_pairs = (
+        (a1, a2) for a1 in cyclic for a2 in cyclic if a1 != a2 and a2 & ~a1 != 0
+    )
+    for a1, a2 in _sampled(cyclic_pairs, sample):
+        quotient.cyclic_extension(m, a1, a2)
+        counts["extension"] += 1
+        for a in bit_indices(a1 & a2):
+            quotient.cyclic_elimination(m, a1, a2, a)
+            counts["elimination"] += 1
+    rooted = (
+        (a, circ, d)
+        for a in cyclic
+        if a
+        for circ in m.circuits
+        if circ & ~a == 0
+        for d in bit_indices(circ)
+    )
+    for a, circ, d in _sampled(rooted, sample):
+        quotient.base_family_witness(m, a, circ, d)
+        counts["base-family"] += 1
     return counts
 
 
-def _pair_rank_order_check(m: Matroid, l: Matroid, s: int) -> None:
-    """Certified pairs weakly order ranks and independence families."""
-    if s < 0 or (s == 0 and m != l):
-        raise LemmaCounterexample(
-            "rank order violated\n" + serialize_matroid_text(m, "M") + serialize_matroid_text(l, "L")
-        )
+def _pair_rank_order_check(m: Matroid, l: Matroid) -> None:
+    """Certified pairs weakly order independence families.
+
+    The rank half of the ordering needs no check here: certify_quotient
+    already raises on a certified pair with a negative or empty rank step.
+    """
     for mask in range(1 << len(m.ground)):
         if m.is_independent(mask) and not l.is_independent(mask):
             raise LemmaCounterexample(
@@ -287,37 +310,29 @@ def lemma_exhaustive_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None
     """All checked statements over all matroids, pairs, and triples in scope."""
     t0 = time.perf_counter()
     catalogs = catalogs or build_catalogs(max_n)
-    totals = {"span": 0, "extension": 0, "elimination": 0, "base-family": 0,
-              "bigcyclo": 0, "rank-order": 0, "transitivity": 0}
+    totals = dict.fromkeys(_ALL_STATEMENTS, 0)
     try:
         for n in range(1, max_n + 1):
             cat = catalogs[n]
             for m in cat.entries:
                 for key, val in matroid_lemma_checks(m).items():
                     totals[key] += val
-            entries = cat.entries
-            certified: dict[tuple[int, int], int] = {}
-            for i, m in enumerate(entries):
-                for j, l in enumerate(entries):
-                    cert = quotient.certify_quotient(m, l)
-                    if not cert.holds:
-                        continue
-                    certified[(i, j)] = cert.step_s
-                    _pair_rank_order_check(m, l, cert.step_s)
-                    totals["rank-order"] += 1
-                    quotient.bigcyclo_check(m, l)
-                    totals["bigcyclo"] += 1
+            certified = cat.certified
             down: dict[int, list[int]] = {}
-            for (i, j) in certified:
+            for i, j in certified:
+                m, l = cat.entries[i], cat.entries[j]
+                _pair_rank_order_check(m, l)
+                totals["rank-order"] += 1
+                quotient.bigcyclo_check(m, l)
+                totals["bigcyclo"] += 1
                 down.setdefault(i, []).append(j)
-            for i, js in down.items():
-                for j in js:
-                    for k in down.get(j, ()):
-                        if (i, k) not in certified:
-                            raise LemmaCounterexample(
-                                f"transitivity fails at catalog n={n} indices {i},{j},{k}"
-                            )
-                        totals["transitivity"] += 1
+            for i, j in certified:
+                for k in down.get(j, ()):
+                    if (i, k) not in certified:
+                        raise LemmaCounterexample(
+                            f"transitivity fails at catalog n={n} indices {i},{j},{k}"
+                        )
+                    totals["transitivity"] += 1
     except LemmaCounterexample as exc:
         return _outcome("lemma-exhaustive", t0, False, str(exc).splitlines()[0])
     details = "all statements hold: " + ", ".join(f"{k}={v}" for k, v in totals.items())
@@ -338,43 +353,14 @@ def lemma_randomized_sweep(config: Optional[SweepConfig] = None) -> SweepOutcome
     cfg = config or SweepConfig()
     rng = random.Random(cfg.seed)
     t0 = time.perf_counter()
-    instances = {"span": 0, "extension": 0, "elimination": 0, "base-family": 0,
-                 "bigcyclo": 0, "rank-order": 0, "transitivity": 0}
+    instances = dict.fromkeys(_ALL_STATEMENTS, 0)
     try:
         for _ in range(cfg.random_matroids):
             n = rng.choice((5, 6))
             m = random_matroid(rng, n)
-            size = 1 << n
-            for a in range(size):
-                if m.is_dependent(a):
-                    quotient.lemma_span_witness(m, a)
-                    instances["span"] += 1
-            cyclic = list(m.cyclic_sets())
-            pool = [
-                (a1, a2)
-                for a1 in cyclic
-                for a2 in cyclic
-                if a1 != a2 and a2 & ~a1 != 0
-            ]
-            rng.shuffle(pool)
-            for a1, a2 in pool[: cfg.samples_per_matroid]:
-                quotient.cyclic_extension(m, a1, a2)
-                instances["extension"] += 1
-                for a in bit_indices(a1 & a2):
-                    quotient.cyclic_elimination(m, a1, a2, a)
-                    instances["elimination"] += 1
-            triples = [
-                (a, circ, d)
-                for a in cyclic
-                if a
-                for circ in m.circuits
-                if circ & ~a == 0
-                for d in bit_indices(circ)
-            ]
-            rng.shuffle(triples)
-            for a, circ, d in triples[: cfg.samples_per_matroid]:
-                quotient.base_family_witness(m, a, circ, d)
-                instances["base-family"] += 1
+            sample = (rng, cfg.samples_per_matroid)
+            for key, val in matroid_lemma_checks(m, sample).items():
+                instances[key] += val
 
         for _ in range(cfg.random_pairs):
             n = rng.choice((5, 6))
@@ -387,7 +373,7 @@ def lemma_randomized_sweep(config: Optional[SweepConfig] = None) -> SweepOutcome
                     + serialize_matroid_text(m, "M")
                     + serialize_matroid_text(l, "L")
                 )
-            _pair_rank_order_check(m, l, cert.step_s)
+            _pair_rank_order_check(m, l)
             instances["rank-order"] += 1
             quotient.bigcyclo_check(m, l)
             instances["bigcyclo"] += 1
@@ -429,37 +415,26 @@ def homotopy_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) -> Swe
     t0 = time.perf_counter()
     catalogs = catalogs or build_catalogs(max_n)
     pairs = order_free = order_bound = 0
-    for n in range(1, max_n + 1):
-        cat = catalogs[n]
-        for m in cat.entries:
-            for l in cat.entries:
-                cert = quotient.certify_quotient(m, l)
-                if not cert.holds or cert.step_s < 2:
-                    continue
-                pairs += 1
-                labels = fresh_labels(m.ground, cert.step_s)
-                witness = quotient.lift_witness(m, l, labels)
-                baseline = None
-                same = True
-                for perm in permutations(labels):
-                    try:
-                        chain = quotient.factor_homotopy(m, l, perm, witness=witness)
-                    except MatliftError as exc:
-                        return _outcome(
-                            "homotopy",
-                            t0,
-                            False,
-                            f"factorization failed for {m!r}, {l!r} order {perm}: {exc}",
-                        )
-                    key = tuple(st.circuits for st in chain.steps)
-                    if baseline is None:
-                        baseline = key
-                    elif key != baseline:
-                        same = False
-                if same:
-                    order_free += 1
-                else:
-                    order_bound += 1
+    for m, l, s in certified_pairs(catalogs, max_n, min_step=2):
+        pairs += 1
+        labels = fresh_labels(m.ground, s)
+        witness = quotient.lift_witness(m, l, labels)
+        stage_keys = set()
+        for perm in permutations(labels):
+            try:
+                chain = quotient.factor_homotopy(m, l, perm, witness=witness)
+            except MatliftError as exc:
+                return _outcome(
+                    "homotopy",
+                    t0,
+                    False,
+                    f"factorization failed for {m!r}, {l!r} order {perm}: {exc}",
+                )
+            stage_keys.add(tuple(st.circuits for st in chain.steps))
+        if len(stage_keys) == 1:
+            order_free += 1
+        else:
+            order_bound += 1
     details = (
         f"{pairs} pairs with step >= 2 factor under every ordering; "
         f"stages order-independent for {order_free}, order-dependent for {order_bound}"
@@ -481,46 +456,34 @@ def remark_comparison_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = Non
     """
     t0 = time.perf_counter()
     catalogs = catalogs or build_catalogs(max_n)
-    pairs = 0
-    shifted_rows = shifted_agree = literal_rows = literal_agree = 0
+    pairs = rows = shifted_agree = literal_agree = 0
     per_stage: dict[int, list[int]] = {}
-    for n in range(1, max_n + 1):
-        cat = catalogs[n]
-        for m in cat.entries:
-            for l in cat.entries:
-                cert = quotient.certify_quotient(m, l)
-                if not cert.holds or cert.step_s < 1:
-                    continue
-                pairs += 1
-                rows = quotient.remark_comparison(m, l)
-                for row in rows:
-                    shifted_rows += 1
-                    literal_rows += 1
-                    bucket = per_stage.setdefault(row.i, [0, 0, 0])
-                    bucket[0] += 1
-                    if row.shifted_agrees:
-                        shifted_agree += 1
-                        bucket[1] += 1
-                    if row.literal_agrees:
-                        literal_agree += 1
-                        bucket[2] += 1
+    for m, l, _ in certified_pairs(catalogs, max_n, min_step=1):
+        pairs += 1
+        for row in quotient.remark_comparison(m, l):
+            rows += 1
+            bucket = per_stage.setdefault(row.i, [0, 0, 0])
+            bucket[0] += 1
+            if row.shifted_agrees:
+                shifted_agree += 1
+                bucket[1] += 1
+            if row.literal_agrees:
+                literal_agree += 1
+                bucket[2] += 1
     lines = [
         f"stage-family comparison over {pairs} certified pairs (step >= 1), n <= {max_n}",
-        f"shifted reading (stage i vs closed form at i+1): {shifted_agree}/{shifted_rows} stages agree",
-        f"literal reading (stage i vs closed form at i): {literal_agree}/{literal_rows} stages agree",
+        f"shifted reading (stage i vs closed form at i+1): {shifted_agree}/{rows} stages agree",
+        f"literal reading (stage i vs closed form at i): {literal_agree}/{rows} stages agree",
     ]
     for i in sorted(per_stage):
         total, sh, li = per_stage[i]
         lines.append(f"  stage {i}: {total} instances, shifted agree {sh}, literal agree {li}")
     report = "\n".join(lines)
-    details = (
-        f"{pairs} pairs; shifted {shifted_agree}/{shifted_rows}, "
-        f"literal {literal_agree}/{literal_rows}"
-    )
+    details = f"{pairs} pairs; shifted {shifted_agree}/{rows}, literal {literal_agree}/{rows}"
     return _outcome(
         "remark-comparison", t0, True, details,
-        pairs=pairs, shifted=(shifted_agree, shifted_rows),
-        literal=(literal_agree, literal_rows), report=report,
+        pairs=pairs, shifted=(shifted_agree, rows), literal=(literal_agree, rows),
+        report=report,
     )
 
 
@@ -551,7 +514,7 @@ def roundtrip_sweep(max_n: int = 5, catalogs: Optional[CatalogMap] = None) -> Sw
 def run_all(max_n: int = 4, config: Optional[SweepConfig] = None,
             emit: Optional[Callable[[str], None]] = None) -> list[SweepOutcome]:
     """Run every sweep at sizes capped by ``max_n``; optionally print lines."""
-    catalogs = build_catalogs(min(max_n, 6))
+    catalogs = build_catalogs(min(max_n, 5))  # no sweep reads past n = 5
     outcomes = [
         catalog_cross_oracle_sweep(min(max_n, 4), catalogs),
         lift_property_sweep(min(max_n, 5), catalogs),

@@ -9,11 +9,7 @@ itself and that system satisfies the augmentation axiom.
 
 from itertools import combinations
 
-from matlift.axioms import (
-    check_basis_exchange,
-    check_circuit_axioms,
-    check_independence_axioms,
-)
+from matlift.axioms import check_basis_exchange, check_circuit_axioms
 from matlift.sets import SetFamily, default_ground, submasks
 
 from helpers import mk
@@ -128,18 +124,6 @@ def test_strong_violation_names_the_missing_element():
     rep = check_circuit_axioms(g, fam, strong=True)
     if rep_weak.passed and not rep.passed:
         assert rep.violations[0].axiom == "AC2!"
-
-
-def test_independence_axioms():
-    g = default_ground(3)
-    good = SetFamily([0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110])
-    assert check_independence_axioms(g, good).passed
-    # not downward closed
-    assert not check_independence_axioms(g, SetFamily([0b011])).passed
-    # augmentation failure: {a} cannot grow toward {b,c}
-    bad = SetFamily([0b000, 0b001, 0b010, 0b100, 0b110])
-    rep = check_independence_axioms(g, bad)
-    assert not rep.passed and rep.violations[0].axiom == "AI2"
 
 
 def test_basis_exchange_axioms():

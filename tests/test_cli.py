@@ -123,6 +123,15 @@ def test_enumerate_and_pairs(tmp_path, capsys):
     assert len(pairs.read_text().splitlines()) == 25
 
 
+def test_pairs_refuses_large_ground(monkeypatch, capsys):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("pairs --n 6 must refuse before enumerating")
+
+    monkeypatch.setattr("matlift.enumeration.enumerate_matroids", no_enumeration)
+    assert run_command(["pairs", "--n", "6"]) == 2
+    assert "at most 5" in capsys.readouterr().err
+
+
 def test_check_lemmas(files, capsys):
     assert run_command(["check-lemmas", files["u13"]]) == 0
     out = capsys.readouterr().out

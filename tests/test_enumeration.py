@@ -12,7 +12,6 @@ from matlift.enumeration import (
     MatroidCatalog,
     all_witnesses,
     enumerate_matroids,
-    pair_catalog,
     pair_records,
     random_matroid,
     random_quotient_pair,
@@ -59,6 +58,8 @@ def test_enumeration_caps():
         enumerate_matroids(5, "circuit")
     with pytest.raises(ValueError):
         enumerate_matroids(3, "magic")
+    with pytest.raises(GroundTooLarge):
+        pair_records(6)
 
 
 def test_witness_search_finds_the_constructed_witness(u13, u23):
@@ -108,13 +109,29 @@ def test_diagonal_records_are_step_zero(basis_catalogs):
 
 def test_pair_catalog_writes_parseable_lines(tmp_path):
     path = tmp_path / "pairs.txt"
-    records = pair_catalog(2, str(path))
+    records = pair_records(2)
+    path.write_text("\n".join(r.line() for r in records) + "\n")
     lines = path.read_text().splitlines()
     assert len(lines) == len(records) == 25
-    for line in lines:
-        parse_pair_line(line)
+    for line, r in zip(lines, records):
+        assert parse_pair_line(line) == parse_pair_line(r.line())
     with pytest.raises(GroundTooLarge):
-        pair_catalog(6)
+        pair_records(6)
+
+
+def test_certified_table_matches_certify(basis_catalogs):
+    for n in range(1, 4):
+        cat = basis_catalogs[n]
+        table = cat.certified
+        for i, m in enumerate(cat.entries):
+            for j, l in enumerate(cat.entries):
+                cert = certify_quotient(m, l)
+                if cert.holds:
+                    assert table[(i, j)] == cert.step_s
+                else:
+                    assert (i, j) not in table
+        assert cat.certified is table
+    assert len(basis_catalogs[2].certified) == 12
 
 
 def test_random_matroids_are_valid_and_reproducible():
