@@ -11,7 +11,8 @@ non-empty set of new elements, and nullity(A) + |Z| = s + 1.
 The construction is checked, not trusted: the candidate family must pass the
 strong circuit axioms and both minors must come back equal to the operands,
 otherwise ConstructionFailure carries a replayable dump. factor_homotopy
-splits a verified witness into single-step quotients, one per new element.
+reads single-step quotients off a verified witness, one per new element;
+the chain ends are the operands, which the witness verified as its minors.
 
 The checked statements (span witness, cyclic extension and elimination, the
 rooted base family, the high-nullity dependence check) power the sweep
@@ -212,11 +213,6 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
                 x_members.append(a_set | zm)
 
     candidate = SetFamily(l.circuits.members + tuple(x_members))
-    if minimal_members(candidate) != candidate:
-        raise ConstructionFailure(
-            "constructed circuit block is not an antichain",
-            _dump(m, l, labels, big.format_family(candidate)),
-        )
     report = check_circuit_axioms(big, candidate, strong=True)
     if not report.passed:
         raise ConstructionFailure(
@@ -322,34 +318,29 @@ def factor_homotopy(
 ) -> HomotopySequence:
     """Split a certified pair into elementary quotient steps.
 
-    Builds (or reuses) the lift witness N, then for i = 0..s takes the minor
-    of N that contracts the last s-i new elements and deletes the first i.
-    The resulting chain starts at m, ends at l, gains exactly one rank per
-    step, and every consecutive pair certifies; any violation raises
-    FactorizationFailure.
+    Builds (or reuses) the lift witness N and reads the chain off it: the
+    ends are m and l, which the witness verified as N's minors, and middle
+    stage i contracts the last s-i new elements of N and deletes the first i.
+    Every stage must gain one rank and every consecutive pair must certify;
+    any violation raises FactorizationFailure.
 
-    A prebuilt ``witness`` for the same operands may be supplied; the label
-    set must match, and ``x_labels`` then only fixes the processing order.
+    A prebuilt ``witness`` for the same operands may be supplied; its labels
+    must be ``x_labels`` up to order, which then only fixes the processing order.
     """
     labels = tuple(x_labels)
     if witness is None:
         witness = lift_witness(m, l, labels)
-    else:
-        if witness.m != m or witness.l != l:
-            raise PreconditionFailure("witness endpoints do not match the operands")
-        if set(witness.x_labels) != set(labels):
-            raise PreconditionFailure("witness labels do not match the given order")
+    elif witness.m != m or witness.l != l:
+        raise PreconditionFailure("witness endpoints do not match the operands")
+    elif sorted(witness.x_labels) != sorted(labels):
+        raise PreconditionFailure("witness labels do not match the given order")
     n = witness.n
     k = len(labels)
-    steps = []
-    for i in range(k + 1):
+    middle = []
+    for i in range(1, k):
         stage = contract(n, n.ground.mask_of(labels[i:]))
-        stage = delete(stage, stage.ground.mask_of(labels[:i]))
-        steps.append(stage)
-    if steps[0] != m:
-        raise FactorizationFailure("chain does not start at the lower matroid")
-    if steps[-1] != l:
-        raise FactorizationFailure("chain does not end at the upper matroid")
+        middle.append(delete(stage, stage.ground.mask_of(labels[:i])))
+    steps = (m, *middle, l)
     base = m.rank()
     for i, stage in enumerate(steps):
         if stage.rank() != base + i:
@@ -363,11 +354,7 @@ def factor_homotopy(
                 f"consecutive stages {i}, {i + 1} do not certify: "
                 + outcome.describe()
             )
-        if outcome.step_s != 1:
-            raise FactorizationFailure(
-                f"stages {i}, {i + 1} have rank step {outcome.step_s}, expected 1"
-            )
-    return HomotopySequence(tuple(steps), labels)
+    return HomotopySequence(steps, labels)
 
 
 # ------------------------------------------------------------ remark families
@@ -386,6 +373,12 @@ def remark_circuits(m: Matroid, l: Matroid, j: int) -> tuple[SetFamily, AxiomRep
         raise PreconditionFailure(
             f"stage index {j} outside 0..{outcome.step_s + 1}"
         )
+    fam = _remark_family(m, l, j)
+    return fam, check_circuit_axioms(m.ground, fam, strong=True)
+
+
+def _remark_family(m: Matroid, l: Matroid, j: int) -> SetFamily:
+    """The closed-form stage-j family, checked to be an antichain."""
     c_part = [c for c in l.circuits if m.nullity(c) <= j]
     a_part = [
         a for a in m.cyclic_sets(nullity=j) if a != 0 and l.is_independent(a)
@@ -396,7 +389,7 @@ def remark_circuits(m: Matroid, l: Matroid, j: int) -> tuple[SetFamily, AxiomRep
             f"stage-{j} family is not an antichain",
             _dump(m, l, (), m.ground.format_family(fam)),
         )
-    return fam, check_circuit_axioms(m.ground, fam, strong=True)
+    return fam
 
 
 @dataclass
@@ -411,27 +404,19 @@ class RemarkRow:
     literal_agrees: bool
 
 
-def remark_comparison(
-    m: Matroid,
-    l: Matroid,
-    x_labels: Optional[Sequence[str]] = None,
-    witness: Optional[LiftWitness] = None,
-) -> list[RemarkRow]:
+def remark_comparison(m: Matroid, l: Matroid) -> list[RemarkRow]:
     """Compare both index readings of the closed form with the factor chain.
 
-    For every stage i the circuits of the i-th chain matroid are compared
-    against the closed-form family at index i+1 (the shifted reading) and at
-    index i (the literal reading). Nothing is asserted here; callers decide
-    what agreement to require.
+    For every stage i the circuits of the i-th chain matroid, whose ends are
+    m and l, are compared against the closed-form family at index i+1 (the
+    shifted reading) and at index i (the literal reading). Nothing is
+    asserted here; callers decide what agreement to require.
     """
-    outcome = _certified(m, l)
-    s = outcome.step_s
+    s = _certified(m, l).step_s
     if s < 1:
         raise RankMismatch("comparison needs rank step >= 1")
-    if x_labels is None:
-        x_labels = fresh_labels(m.ground, s)
-    chain = factor_homotopy(m, l, x_labels, witness=witness)
-    families = {j: remark_circuits(m, l, j)[0] for j in range(s + 2)}
+    chain = factor_homotopy(m, l, fresh_labels(m.ground, s))
+    families = [_remark_family(m, l, j) for j in range(s + 2)]
     rows = []
     for i, stage in enumerate(chain.steps):
         actual = stage.circuits

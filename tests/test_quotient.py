@@ -1,6 +1,8 @@
 """Certification, witness construction, factorization, stage families,
 and the per-matroid checked statements, on hand-worked instances."""
 
+from itertools import permutations
+
 import pytest
 
 from matlift.errors import (
@@ -25,7 +27,9 @@ from matlift.quotient import (
     remark_comparison,
     verify_pair,
 )
-from matlift.sets import SetFamily
+from matlift.minors import contract, delete
+from matlift.sets import SetFamily, fresh_labels
+from matlift.sweeps import certified_pairs
 
 from helpers import mk
 
@@ -197,6 +201,26 @@ def test_factor_rejects_foreign_witness(u13, u23, f3):
         factor_homotopy(u13, f3, ("x1", "x2"), witness=w)
 
 
+def test_factor_compares_witness_labels_as_a_multiset(u13, u23):
+    w = lift_witness(u13, u23, ("x1",))
+    with pytest.raises(PreconditionFailure):
+        factor_homotopy(u13, u23, ("x1", "x1"), witness=w)
+
+
+def test_factor_stages_are_witness_minors(basis_catalogs):
+    # the chain ends are the operands themselves; here they are checked
+    # against the witness minors like every middle stage
+    for m, l, s in certified_pairs(basis_catalogs, 3, min_step=1):
+        labels = fresh_labels(m.ground, s)
+        w = lift_witness(m, l, labels)
+        for order in permutations(labels):
+            chain = factor_homotopy(m, l, order, witness=w)
+            assert len(chain) == s + 1
+            for i, stage in enumerate(chain.steps):
+                rest = contract(w.n, w.n.ground.mask_of(order[i:]))
+                assert stage == delete(rest, rest.ground.mask_of(order[:i]))
+
+
 # ----------------------------------------------------------- stage families
 
 
@@ -236,6 +260,19 @@ def test_remark_comparison_shifted_reading_wins(u13, u23, f3):
             assert row.shifted_agrees, f"stage {row.i} of {m!r} -> {l!r}"
             assert not row.literal_agrees
             assert row.minor_circuits == row.shifted
+
+
+def test_remark_comparison_rows_are_the_closed_forms(basis_catalogs, u13, u23):
+    for m, l, s in certified_pairs(basis_catalogs, 3, min_step=1):
+        rows = remark_comparison(m, l)
+        assert [r.i for r in rows] == list(range(s + 1))
+        for row in rows:
+            assert row.shifted == remark_circuits(m, l, row.i + 1)[0]
+            assert row.literal == remark_circuits(m, l, row.i)[0]
+    with pytest.raises(RankMismatch):
+        remark_comparison(u13, u13)
+    with pytest.raises(QuotientViolation):
+        remark_comparison(u23, u13)
 
 
 # ----------------------------------------------------- checked statements
