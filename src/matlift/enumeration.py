@@ -21,15 +21,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterator, Optional, Union
 
 from . import quotient as _quotient
 from .axioms import check_basis_exchange, check_circuit_axioms
 from .errors import ConstructionFailure, GroundTooLarge, LabelClash
-from .matroid import Matroid
+from .matroid import Matroid, minimal_dependent_sets
 from .minors import contract, delete
-from .sets import GroundSet, SetFamily, default_ground, fresh_labels
+from .sets import GroundSet, SetFamily, default_ground, fresh_labels, masks_of_size
 from .textio import catalog_line, pair_line
 
 BASIS_ENUM_CAP = 6
@@ -99,12 +98,7 @@ def _enumerate_by_bases(g: GroundSet) -> list[Matroid]:
     n = len(g)
     out = []
     for r in range(n + 1):
-        r_subsets = []
-        for combo in combinations(range(n), r):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            r_subsets.append(mask)
+        r_subsets = list(masks_of_size(n, r))
         for pick in range(1, 1 << len(r_subsets)):
             family = SetFamily(
                 r_subsets[i] for i in range(len(r_subsets)) if pick >> i & 1
@@ -260,13 +254,7 @@ def random_matroid(rng: random.Random, ground: Union[GroundSet, int]) -> Matroid
         chosen = [cols[i] for i in range(n) if mask >> i & 1]
         return _gf_rank(chosen, q) < len(chosen)
 
-    circuits = []
-    for mask in range(1, 1 << n):
-        if dependent(mask) and all(
-            not dependent(mask & ~(1 << i)) for i in range(n) if mask >> i & 1
-        ):
-            circuits.append(mask)
-    return Matroid(g, circuits)
+    return Matroid(g, minimal_dependent_sets(g, dependent))
 
 
 def random_quotient_pair(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .axioms import check_basis_exchange, check_circuit_axioms
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     StillIndependent,
     UnequalBasisSizes,
 )
-from .sets import GroundSet, SetFamily, bit_indices
+from .sets import GroundSet, SetFamily, bit_indices, masks_of_size
 
 # All-subset scans (cyclic_sets without a filter) refuse to run above this
 # many elements; callers must pass a nullity filter or test sets pointwise.
@@ -92,8 +92,7 @@ class Matroid:
     def from_bases(cls, ground: GroundSet, bases: SetFamily | Iterable[int]) -> "Matroid":
         """Build a matroid from its bases (checked for the exchange axiom).
 
-        Circuits are recovered as the dependent sets all of whose proper
-        subsets are independent, where independent means inside some basis.
+        Circuits are the minimal sets inside no basis.
         """
         fam = bases if isinstance(bases, SetFamily) else SetFamily(bases)
         report = check_basis_exchange(ground, fam)
@@ -107,18 +106,8 @@ class Matroid:
                     f"{ground.format_mask(v.witness[1])} differ in size"
                 )
             raise ExchangeFailure(*v.witness)
-        base_list = fam.members
-
-        def indep(mask: int) -> bool:
-            return any(mask & ~b == 0 for b in base_list)
-
-        circuits = []
-        for mask in range(1, ground.full_mask + 1):
-            if indep(mask):
-                continue
-            if all(indep(mask & ~(1 << i)) for i in bit_indices(mask)):
-                circuits.append(mask)
-        return cls(ground, circuits)
+        bases = fam.members
+        return cls(ground, minimal_dependent_sets(ground, lambda d: all(d & ~b for b in bases)))
 
     # ------------------------------------------------------------- equality
 
@@ -200,20 +189,19 @@ class Matroid:
     def bases(self) -> SetFamily:
         """All bases, as the independent sets of full-rank cardinality."""
         r = self.rank()
-        n = len(self.ground)
-        out = []
-        for combo in combinations(range(n), r):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if self.is_independent(mask):
-                out.append(mask)
-        return SetFamily(out)
+        return SetFamily(b for b in masks_of_size(len(self.ground), r) if self.is_independent(b))
 
     def dual(self) -> "Matroid":
-        """Dual matroid: bases are the complements of this matroid's bases."""
-        full = self.ground.full_mask
-        return Matroid.from_bases(self.ground, [full & ~b for b in self.bases()])
+        """Dual matroid, whose bases are the complements of this matroid's bases.
+
+        Its circuits are the minimal sets meeting every basis. No exchange
+        check runs on the complements, since duality implies it (Oxley,
+        Matroid Theory, 2nd ed., ch. 2); the constructor checks the circuits.
+        """
+        bases = self.bases().members
+        return Matroid(
+            self.ground, minimal_dependent_sets(self.ground, lambda d: all(d & b for b in bases))
+        )
 
     # ------------------------------------------------- fundamental circuits
 
@@ -323,12 +311,20 @@ def uniform_matroid(ground: GroundSet, rank: int) -> Matroid:
         raise ValueError(f"rank {rank} out of range for {n} elements")
     if rank == n:
         return free_matroid(ground)
-    circuits = []
-    for combo in combinations(range(n), rank + 1):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        circuits.append(mask)
-    return Matroid(ground, circuits)
+    return Matroid(ground, masks_of_size(n, rank + 1))
 
 
+def minimal_dependent_sets(ground: GroundSet, dependent: Callable[[int], bool]) -> list[int]:
+    """Minimal sets that the upward-closed test ``dependent`` accepts, ascending.
+
+    ``dependent`` is called once per non-empty subset, in ascending mask
+    order; its answers are kept, so one-smaller subsets are looked up.
+    """
+    dep = bytearray(ground.full_mask + 1)
+    out = []
+    for mask in range(1, ground.full_mask + 1):
+        if dependent(mask):
+            dep[mask] = 1
+            if not any(dep[mask & ~(1 << i)] for i in bit_indices(mask)):
+                out.append(mask)
+    return out

@@ -23,7 +23,6 @@ with a replayable instance if the conclusion ever fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .axioms import AxiomReport, check_circuit_axioms
@@ -40,7 +39,7 @@ from .errors import (
 )
 from .matroid import FundamentalFamily, Matroid
 from .minors import contract, delete
-from .sets import SetFamily, bit_indices, fresh_labels, minimal_members, submasks
+from .sets import SetFamily, bit_indices, fresh_labels, masks_of_size, minimal_members, submasks
 from .textio import serialize_matroid_text
 
 
@@ -199,13 +198,7 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
 
     x_members = []
     for c in range(1, s + 1):
-        z_size = s + 1 - c
-        z_masks = []
-        for combo in combinations(range(e_size, e_size + s), z_size):
-            zm = 0
-            for i in combo:
-                zm |= 1 << i
-            z_masks.append(zm)
+        z_masks = [zm << e_size for zm in masks_of_size(s, s + 1 - c)]
         for a_set in m.cyclic_sets(nullity=c):
             if not l.is_independent(a_set):
                 continue

@@ -10,6 +10,7 @@ same way on every run.
 from __future__ import annotations
 
 import re
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import DuplicateLabel, GroundTooLarge, InvalidGroundSet, UnknownLabel
@@ -39,6 +40,12 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == mask:
             return
         sub = (sub - mask) & mask
+
+
+def masks_of_size(n: int, k: int) -> Iterator[int]:
+    """Yield the k-subsets of ``range(n)`` as masks, in ``combinations`` order."""
+    for combo in combinations(range(n), k):
+        yield sum(1 << i for i in combo)
 
 
 def compress(mask: int, keep: int) -> int:

@@ -23,7 +23,7 @@ from .enumeration import (
     random_quotient_pair,
     witness_search,
 )
-from .errors import ConstructionFailure, LemmaCounterexample, MatliftError
+from .errors import ConstructionFailure, LemmaCounterexample, MatliftError, PreconditionFailure
 from .matroid import Matroid
 from .minors import contract, delete
 from .sets import bit_indices, default_ground, fresh_labels
@@ -513,6 +513,8 @@ def roundtrip_sweep(max_n: int = 5, catalogs: Optional[CatalogMap] = None) -> Sw
 def run_all(max_n: int = 4, config: Optional[SweepConfig] = None,
             emit: Optional[Callable[[str], None]] = None) -> list[SweepOutcome]:
     """Run every sweep at sizes capped by ``max_n``; optionally print lines."""
+    if max_n < 1:
+        raise PreconditionFailure(f"sweep size cap must be at least 1, got {max_n}")
     catalogs = build_catalogs(min(max_n, 5))  # no sweep reads past n = 5
     outcomes = [
         catalog_cross_oracle_sweep(min(max_n, 4), catalogs),

@@ -144,6 +144,13 @@ def test_sweep_small(capsys):
     assert out.count("PASS") == 8 and "FAIL" not in out
 
 
+def test_sweep_refuses_empty_scope(capsys):
+    for n in ("0", "-2"):
+        assert run_command(["sweep", "--n", n]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out and err.startswith("error:")
+
+
 def test_usage_errors(files, capsys):
     assert run_command([]) == 2
     assert run_command(["nosuch"]) == 2

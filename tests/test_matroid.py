@@ -18,7 +18,7 @@ from matlift.errors import (
     StillIndependent,
 )
 from matlift.enumeration import enumerate_matroids
-from matlift.matroid import Matroid, free_matroid, uniform_matroid
+from matlift.matroid import Matroid, free_matroid, minimal_dependent_sets, uniform_matroid
 from matlift.sets import GroundSet, SetFamily, default_ground
 
 from helpers import (
@@ -69,9 +69,17 @@ def test_dual_involution_and_rank_formula(basis_catalogs):
             assert d.rank() == len(m.ground) - m.rank()
 
 
-def test_dual_bases_are_complements(u13):
-    full = u13.ground.full_mask
-    assert sorted(b ^ full for b in u13.bases()) == sorted(u13.dual().bases())
+def test_dual_bases_are_complements(basis_catalogs):
+    for n in range(1, 6):
+        for m in basis_catalogs[n].entries:
+            full = m.ground.full_mask
+            assert sorted(b ^ full for b in brute_bases(m)) == sorted(brute_bases(m.dual()))
+
+
+def test_minimal_dependent_sets_are_the_circuits(basis_catalogs):
+    for n in range(1, 5):
+        for m in basis_catalogs[n].entries:
+            assert minimal_dependent_sets(m.ground, m.is_dependent) == sorted(m.circuits)
 
 
 def test_bases_against_oracle():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from matlift.sets import (
     compress,
     default_ground,
     fresh_labels,
+    masks_of_size,
     submasks,
 )
 
@@ -60,6 +63,14 @@ def test_bit_helpers():
     assert list(bit_indices(0b1011)) == [0, 1, 3]
     assert list(submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
     assert list(submasks(0)) == [0]
+
+
+def test_masks_of_size_match_combinations():
+    for n in range(7):
+        for k in range(n + 1):
+            got = list(masks_of_size(n, k))
+            assert got == [sum(1 << i for i in c) for c in combinations(range(n), k)]
+            assert set(got) == {m for m in range(1 << n) if m.bit_count() == k}
 
 
 @given(st.integers(0, 2**10 - 1), st.integers(0, 2**10 - 1))
