@@ -1,4 +1,4 @@
-"""Exhaustive catalogs of small matroids, witness search, and random instances.
+"""Exhaustive catalogs of small matroids, their lifts, and random instances.
 
 Two deliberately different generation routes exist so they can cross-check
 each other:
@@ -21,11 +21,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Union
 
 from . import quotient as _quotient
-from .axioms import check_basis_exchange, check_circuit_axioms
-from .errors import ConstructionFailure, GroundTooLarge, LabelClash
+from .axioms import check_circuit_axioms
+from .errors import ConstructionFailure, ExchangeFailure, GroundTooLarge
 from .matroid import Matroid, minimal_dependent_sets
 from .minors import contract, delete
 from .sets import GroundSet, SetFamily, default_ground, fresh_labels, masks_of_size
@@ -43,10 +43,6 @@ class MatroidCatalog:
     ground: GroundSet
     method: str
     entries: tuple[Matroid, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.ground)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -69,6 +65,23 @@ class MatroidCatalog:
                 cert = _quotient.certify_quotient(m, l)
                 if cert.holds:
                     table[(i, j)] = cert.step_s
+        return table
+
+    @cached_property
+    def witnesses(self) -> dict[tuple[int, int], _quotient.LiftWitness]:
+        """Verified lift witness of every certified pair with rank step >= 1.
+
+        Keyed like ``certified`` and filled in its order on first access, each
+        on the ground extended by ``fresh_labels(ground, step)``. A failed
+        construction raises ConstructionFailure out of the first access.
+        """
+        table = {}
+        for (i, j), s in self.certified.items():
+            if s >= 1:
+                m = self.entries[i]
+                table[(i, j)] = _quotient.lift_witness(
+                    m, self.entries[j], fresh_labels(self.ground, s)
+                )
         return table
 
 
@@ -103,8 +116,10 @@ def _enumerate_by_bases(g: GroundSet) -> list[Matroid]:
             family = SetFamily(
                 r_subsets[i] for i in range(len(r_subsets)) if pick >> i & 1
             )
-            if check_basis_exchange(g, family).passed:
+            try:  # from_bases runs the exchange check once and raises on failure
                 out.append(Matroid.from_bases(g, family))
+            except ExchangeFailure:
+                continue
     return out
 
 
@@ -119,38 +134,25 @@ def _enumerate_by_circuits(g: GroundSet) -> list[Matroid]:
     return out
 
 
-# ------------------------------------------------------------ witness search
+# ------------------------------------------------------- one-element lifts
 
 
-def _scan_witnesses(m: Matroid, l: Matroid, x_label: str) -> Iterator[Matroid]:
-    """One-element lift witnesses for (m, l), lazily, in catalog order.
+def lift_buckets(catalog: MatroidCatalog) -> dict[tuple[int, int], list[Matroid]]:
+    """Every one-element lift of the catalog, keyed by the pair it realizes.
 
-    Scans every matroid N on the ground set extended by ``x_label`` and
-    yields those with N contracted by x equal to ``m`` and N minus x equal to
-    ``l``. Yields nothing when the ranks do not differ by exactly one, since
-    no witness can exist then.
+    Enumerates the matroids N on the ground extended by
+    ``fresh_labels(ground, 1)`` once, and files each under the catalog
+    indices ``(i, j)`` of (N/x, N\\x), in catalog order. By the lift
+    theorem the keys are exactly the certified pairs with step <= 1.
     """
-    if m.ground != l.ground:
-        raise LabelClash(f"operands live on {m.ground!r} and {l.ground!r}")
-    if x_label in m.ground.labels:
-        raise LabelClash(f"lift label {x_label!r} already in the ground set")
-    if l.rank() != m.rank() + 1:
-        return
-    big = m.ground.extend([x_label])
-    x_mask = 1 << (len(big) - 1)
-    for n in enumerate_matroids(big).entries:
-        if contract(n, x_mask) == m and delete(n, x_mask) == l:
-            yield n
-
-
-def witness_search(m: Matroid, l: Matroid, x_label: str = "x") -> Optional[Matroid]:
-    """The first one-element lift witness in catalog order, or None."""
-    return next(_scan_witnesses(m, l, x_label), None)
-
-
-def all_witnesses(m: Matroid, l: Matroid, x_label: str = "x") -> list[Matroid]:
-    """Every one-element lift witness for (m, l), by exhaustive scan."""
-    return list(_scan_witnesses(m, l, x_label))
+    g = catalog.ground
+    x_mask = 1 << len(g)
+    index = {m: i for i, m in enumerate(catalog.entries)}
+    buckets: dict[tuple[int, int], list[Matroid]] = {}
+    for n in enumerate_matroids(g.extend(fresh_labels(g, 1))).entries:
+        key = (index[contract(n, x_mask)], index[delete(n, x_mask)])
+        buckets.setdefault(key, []).append(n)
+    return buckets
 
 
 # -------------------------------------------------------------- pair catalog
@@ -213,35 +215,6 @@ def pair_records(catalog: Union[MatroidCatalog, GroundSet, int]) -> list[PairRec
 # ---------------------------------------------------------- random instances
 
 
-def _gf_rank(vectors: list[tuple[int, ...]], q: int) -> int:
-    """Rank of a set of vectors over the prime field with q elements."""
-    if not vectors:
-        return 0
-    rows = [list(v) for v in vectors]
-    width = len(rows[0])
-    rank = 0
-    for col in range(width):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] % q:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, q)
-        lead = [(x * inv) % q for x in rows[rank]]
-        rows[rank] = lead
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % q:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], lead)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def random_matroid(rng: random.Random, ground: Union[GroundSet, int]) -> Matroid:
     """Column matroid of a uniform random matrix over GF(2), GF(3), or GF(5)."""
     g = _as_ground(ground)
@@ -249,10 +222,24 @@ def random_matroid(rng: random.Random, ground: Union[GroundSet, int]) -> Matroid
     q = rng.choice((2, 3, 5))
     r = rng.randint(0, n)
     cols = [tuple(rng.randrange(q) for _ in range(r)) for _ in range(n)]
+    # echelon rows (pivot, row) spanning the columns of each independent mask
+    echelon: dict[int, list[tuple[int, list[int]]]] = {0: []}
 
     def dependent(mask: int) -> bool:
-        chosen = [cols[i] for i in range(n) if mask >> i & 1]
-        return _gf_rank(chosen, q) < len(chosen)
+        # masks arrive in ascending order, so the mask minus its lowest bit
+        # is settled: absent from ``echelon`` when dependent
+        rest = mask & (mask - 1)
+        if rest not in echelon:
+            return True
+        v = list(cols[(mask ^ rest).bit_length() - 1])
+        for pivot, row in echelon[rest]:
+            if f := v[pivot]:
+                v = [(a - f * b) % q for a, b in zip(v, row)]
+        pivot = next((k for k, a in enumerate(v) if a), None)
+        if pivot is not None:
+            inv = pow(v[pivot], -1, q)
+            echelon[mask] = echelon[rest] + [(pivot, [a * inv % q for a in v])]
+        return pivot is None
 
     return Matroid(g, minimal_dependent_sets(g, dependent))
 

@@ -397,18 +397,22 @@ class RemarkRow:
     literal_agrees: bool
 
 
-def remark_comparison(m: Matroid, l: Matroid) -> list[RemarkRow]:
+def remark_comparison(
+    m: Matroid, l: Matroid, witness: Optional[LiftWitness] = None
+) -> list[RemarkRow]:
     """Compare both index readings of the closed form with the factor chain.
 
     For every stage i the circuits of the i-th chain matroid, whose ends are
     m and l, are compared against the closed-form family at index i+1 (the
     shifted reading) and at index i (the literal reading). Nothing is
-    asserted here; callers decide what agreement to require.
+    asserted here; callers decide what agreement to require. A prebuilt
+    ``witness`` for (m, l) supplies the chain and its certificate the step.
     """
-    s = _certified(m, l).step_s
+    s = (witness.certificate if witness else _certified(m, l)).step_s
     if s < 1:
         raise RankMismatch("comparison needs rank step >= 1")
-    chain = factor_homotopy(m, l, fresh_labels(m.ground, s))
+    labels = witness.x_labels if witness else fresh_labels(m.ground, s)
+    chain = factor_homotopy(m, l, labels, witness=witness)
     families = [_remark_family(m, l, j) for j in range(s + 2)]
     rows = []
     for i, stage in enumerate(chain.steps):

@@ -11,17 +11,15 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import quotient
 from .enumeration import (
     MatroidCatalog,
-    all_witnesses,
     enumerate_matroids,
+    lift_buckets,
     random_matroid,
     random_quotient_pair,
-    witness_search,
 )
 from .errors import ConstructionFailure, LemmaCounterexample, MatliftError, PreconditionFailure
 from .matroid import Matroid
@@ -68,16 +66,20 @@ def build_catalogs(max_n: int, method: str = "basis") -> CatalogMap:
     return {n: enumerate_matroids(n, method) for n in range(1, max_n + 1)}
 
 
-def certified_pairs(
-    catalogs: CatalogMap, max_n: int, min_step: int = 0
-) -> Iterator[tuple[Matroid, Matroid, int]]:
-    """``(m, l, step)`` for every certified catalog pair with n <= ``max_n``
-    and step >= ``min_step``, by n, then in each catalog's table order."""
+def certified_pairs(catalogs: CatalogMap, max_n: int) -> Iterator[tuple[Matroid, Matroid, int]]:
+    """``(m, l, step)`` for every certified catalog pair with n <= ``max_n``,
+    by n, then in each catalog's table order."""
     for n in range(1, max_n + 1):
         cat = catalogs[n]
         for (i, j), s in cat.certified.items():
-            if s >= min_step:
-                yield cat.entries[i], cat.entries[j], s
+            yield cat.entries[i], cat.entries[j], s
+
+
+def catalog_witnesses(catalogs: CatalogMap, max_n: int) -> Iterator[quotient.LiftWitness]:
+    """The shared witness of every certified catalog pair with n <= ``max_n``
+    and step >= 1, in ``certified_pairs`` order."""
+    for n in range(1, max_n + 1):
+        yield from catalogs[n].witnesses.values()
 
 
 # ------------------------------------------------------------------ sweep 1
@@ -153,8 +155,7 @@ def lift_criterion_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) 
     t0 = time.perf_counter()
     catalogs = catalogs or build_catalogs(max_n)
     pairs = sum(len(catalogs[n]) ** 2 for n in range(1, max_n + 1))
-    certified = witnesses = 0
-    nullity_within = nullity_beyond = 0
+    certified = nullity_within = nullity_beyond = 0
     for m, l, s in certified_pairs(catalogs, max_n):
         certified += 1
         for c in l.circuits:
@@ -162,27 +163,17 @@ def lift_criterion_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) 
                 nullity_within += 1
             else:
                 nullity_beyond += 1
-        if s < 1:
-            continue
-        try:
-            quotient.lift_witness(m, l, fresh_labels(m.ground, s))
-        except ConstructionFailure as exc:
-            return _outcome("lift-criterion", t0, False, f"construction failed: {exc}")
-        witnesses += 1
+    try:
+        witnesses = sum(len(catalogs[n].witnesses) for n in range(1, max_n + 1))
+    except ConstructionFailure as exc:
+        return _outcome("lift-criterion", t0, False, f"construction failed: {exc}")
     details = (
         f"{pairs} pairs, {certified} certified, {witnesses} witnesses verified; "
         f"circuit nullity <= step+1 observed {nullity_within}/{nullity_within + nullity_beyond}"
     )
     return _outcome(
-        "lift-criterion",
-        t0,
-        True,
-        details,
-        pairs=pairs,
-        certified=certified,
-        witnesses=witnesses,
-        nullity_within=nullity_within,
-        nullity_beyond=nullity_beyond,
+        "lift-criterion", t0, True, details, pairs=pairs, certified=certified,
+        witnesses=witnesses, nullity_within=nullity_within, nullity_beyond=nullity_beyond,
     )
 
 
@@ -190,40 +181,28 @@ def lift_criterion_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) 
 
 
 def witness_oracle_sweep(max_n: int = 3, catalogs: Optional[CatalogMap] = None) -> SweepOutcome:
-    """Certification at step one is equivalent to brute-force witness search,
-    and the constructed witness always appears among the found ones."""
+    """The one-element lifts realize exactly the certified pairs with step
+    <= 1, so at step one certification is equivalent to having a lift, and
+    the shared witness is always among the lifts of its pair."""
     t0 = time.perf_counter()
     catalogs = catalogs or build_catalogs(max_n)
     agree = 0
     for n in range(1, max_n + 1):
         cat = catalogs[n]
-        for i, m in enumerate(cat.entries):
-            for j, l in enumerate(cat.entries):
-                if l.rank() != m.rank() + 1:
-                    continue
-                cert_ok = cat.certified.get((i, j)) == 1
-                found = all_witnesses(m, l)
-                if cert_ok != bool(found):
-                    return _outcome(
-                        "witness-oracle",
-                        t0,
-                        False,
-                        f"disagreement on {m!r}, {l!r}: certify={cert_ok}, found={len(found)}",
-                    )
-                if found and witness_search(m, l) != found[0]:
-                    return _outcome(
-                        "witness-oracle", t0, False, f"search order unstable on {m!r}, {l!r}"
-                    )
-                if cert_ok:
-                    w = quotient.lift_witness(m, l, ("x",))
-                    if w.n not in found:
-                        return _outcome(
-                            "witness-oracle",
-                            t0,
-                            False,
-                            f"constructed witness not found by scan for {m!r}, {l!r}",
-                        )
-                agree += 1
+        buckets = lift_buckets(cat)
+        realizable = {p for p, s in cat.certified.items() if s <= 1}
+        mismatched = sorted(set(buckets) ^ realizable)
+        if mismatched:
+            i, j = mismatched[0]
+            return _outcome("witness-oracle", t0, False, (
+                f"disagreement on {cat.entries[i]!r}, {cat.entries[j]!r}: certified with step"
+                f" <= 1={(i, j) in realizable}, lifts found={len(buckets.get((i, j), []))}"))
+        for p, w in cat.witnesses.items():
+            if w.certificate.step_s == 1 and w.n not in buckets[p]:
+                return _outcome("witness-oracle", t0, False,
+                                f"constructed witness not found by scan for {w.m!r}, {w.l!r}")
+        ranks = [m.rank() for m in cat.entries]
+        agree += sum(1 for a in ranks for b in ranks if b == a + 1)
     return _outcome(
         "witness-oracle", t0, True, f"{agree} rank-step-one pairs agree with the scan",
         agree=agree,
@@ -408,29 +387,53 @@ def lemma_randomized_sweep(config: Optional[SweepConfig] = None) -> SweepOutcome
 # ------------------------------------------------------------------ sweep 6
 
 
+def lattice_stages(w: quotient.LiftWitness) -> list[Matroid]:
+    """Stage D of the witness for every subset D of its new labels, by bitmask
+    (bit k stands for ``w.x_labels[k]``): N minus D, contracted by the rest.
+
+    That is the stage ``factor_homotopy`` takes for the first |D| labels of
+    an order, since minors on disjoint sets commute; deleting first shrinks
+    the contraction. Stage 0 is m and the full stage is l.
+    """
+    e = len(w.m.ground)  # the new labels follow the ground, in order
+    stages = [w.m]
+    for d in range(1, (1 << len(w.x_labels)) - 1):
+        stage = delete(w.n, d << e)
+        stages.append(contract(stage, stage.ground.full_mask >> e << e))
+    return stages + [w.l]
+
+
 def homotopy_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) -> SweepOutcome:
     """Factorization validity for every certified pair with step >= 2 under
-    every ordering of the new elements; records order (in)dependence."""
+    every ordering of the new elements; records order (in)dependence.
+
+    The chains of all orderings are the maximal chains of the lattice of
+    subsets D of the new labels, so each cover D < D + x is checked once:
+    the rank rises by one and the pair certifies. A pair is order-free when
+    its stage depends only on |D|.
+    """
     t0 = time.perf_counter()
     catalogs = catalogs or build_catalogs(max_n)
     pairs = order_free = order_bound = 0
-    for m, l, s in certified_pairs(catalogs, max_n, min_step=2):
+    for w in catalog_witnesses(catalogs, max_n):
+        if len(w.x_labels) < 2:
+            continue
         pairs += 1
-        labels = fresh_labels(m.ground, s)
-        witness = quotient.lift_witness(m, l, labels)
-        stage_keys = set()
-        for perm in permutations(labels):
-            try:
-                chain = quotient.factor_homotopy(m, l, perm, witness=witness)
-            except MatliftError as exc:
+        stages = lattice_stages(w)
+        covers = [(d, k) for d in range(len(stages)) for k in range(len(w.x_labels))
+                  if not d >> k & 1]
+        for d, k in covers:
+            lower, upper = stages[d], stages[d | 1 << k]
+            stepped = upper.rank() == lower.rank() + 1  # then certifying cannot raise
+            if not (stepped and quotient.certify_quotient(lower, upper).holds):
                 return _outcome(
-                    "homotopy",
-                    t0,
-                    False,
-                    f"factorization failed for {m!r}, {l!r} order {perm}: {exc}",
+                    "homotopy", t0, False,
+                    f"factorization failed for {w.m!r}, {w.l!r} "
+                    f"adding {w.x_labels[k]} to stage {d:#b}",
                 )
-            stage_keys.add(tuple(st.circuits for st in chain.steps))
-        if len(stage_keys) == 1:
+        # compare each stage with the stage of the first |D| labels
+        if all(st.circuits == stages[(1 << d.bit_count()) - 1].circuits
+               for d, st in enumerate(stages)):
             order_free += 1
         else:
             order_bound += 1
@@ -457,9 +460,9 @@ def remark_comparison_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = Non
     catalogs = catalogs or build_catalogs(max_n)
     pairs = rows = shifted_agree = literal_agree = 0
     per_stage: dict[int, list[int]] = {}
-    for m, l, _ in certified_pairs(catalogs, max_n, min_step=1):
+    for w in catalog_witnesses(catalogs, max_n):
         pairs += 1
-        for row in quotient.remark_comparison(m, l):
+        for row in quotient.remark_comparison(w.m, w.l, witness=w):
             rows += 1
             bucket = per_stage.setdefault(row.i, [0, 0, 0])
             bucket[0] += 1
@@ -510,9 +513,9 @@ def roundtrip_sweep(max_n: int = 5, catalogs: Optional[CatalogMap] = None) -> Sw
 # --------------------------------------------------------------- full runner
 
 
-def run_all(max_n: int = 4, config: Optional[SweepConfig] = None,
-            emit: Optional[Callable[[str], None]] = None) -> list[SweepOutcome]:
-    """Run every sweep at sizes capped by ``max_n``; optionally print lines."""
+def run_all(max_n: int = 4, config: Optional[SweepConfig] = None) -> list[SweepOutcome]:
+    """Run every sweep at sizes capped by ``max_n``; the randomized one with
+    ``config`` only."""
     if max_n < 1:
         raise PreconditionFailure(f"sweep size cap must be at least 1, got {max_n}")
     catalogs = build_catalogs(min(max_n, 5))  # no sweep reads past n = 5
@@ -528,7 +531,4 @@ def run_all(max_n: int = 4, config: Optional[SweepConfig] = None,
     ]
     if config is not None:
         outcomes.append(lemma_randomized_sweep(config))
-    if emit:
-        for out in outcomes:
-            emit(out.line())
     return outcomes

@@ -69,3 +69,33 @@ def brute_cyclic_sets(m: Matroid) -> set[int]:
     for c in m.circuits:
         found |= {prev | c for prev in found}
     return found
+
+
+def gf_rank(vectors: list[tuple[int, ...]], q: int) -> int:
+    """Rank of a set of vectors over the prime field with q elements, by a
+    full Gauss-Jordan elimination."""
+    if not vectors:
+        return 0
+    rows = [list(v) for v in vectors]
+    width = len(rows[0])
+    rank = 0
+    for col in range(width):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] % q:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, q)
+        lead = [(x * inv) % q for x in rows[rank]]
+        rows[rank] = lead
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % q:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], lead)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank

@@ -16,7 +16,7 @@ import pytest
 
 from matlift import sweeps
 from matlift.cli import run_command
-from matlift.enumeration import all_witnesses, witness_search
+from matlift.enumeration import enumerate_matroids, lift_buckets
 from matlift.quotient import (
     certify_quotient,
     compose_witnesses,
@@ -107,9 +107,12 @@ def test_criterion_7_worked_instances(capsys):
     w1 = lift_witness(u13, u23, ("x",))
     assert w1.n.circuits == SetFamily([0b0111, 0b1011, 0b1101, 0b1110])
     assert w1.verified
-    assert witness_search(u13, u23) == w1.n
-    assert all_witnesses(u13, u23) == [w1.n]
-    assert witness_search(u23, u13) is None
+    # the one-element lifts of (u13, u23) are exactly w1; (u23, u13) has none
+    cat3 = enumerate_matroids(3)
+    buckets = lift_buckets(cat3)
+    i, j = cat3.index_of(u13), cat3.index_of(u23)
+    assert [n.circuits for n in buckets[(i, j)]] == [w1.n.circuits]
+    assert (j, i) not in buckets
 
     w2 = lift_witness(u13, f3, ("x1", "x2"))
     assert w2.n.circuits == SetFamily([0b01111, 0b10111, 0b11011, 0b11101, 0b11110])

@@ -1,27 +1,29 @@
-"""Catalogs, brute-force witness search, pair records, random instances.
+"""Catalogs, their witness table and one-element lifts, pair records,
+random instances.
 
 The labelled counts 2, 5, 16, 68, 406 act as a fixed point: two unrelated
 enumeration routes must reproduce them exactly.
 """
 
 import random
+from itertools import permutations
 
 import pytest
 
 from matlift.enumeration import (
-    MatroidCatalog,
-    all_witnesses,
     enumerate_matroids,
+    lift_buckets,
     pair_records,
     random_matroid,
     random_quotient_pair,
-    witness_search,
 )
-from matlift.errors import GroundTooLarge, LabelClash
+from matlift.errors import GroundTooLarge
+from matlift.matroid import minimal_dependent_sets
 from matlift.quotient import certify_quotient, lift_witness
+from matlift.sets import SetFamily, fresh_labels
 from matlift.textio import parse_pair_line
 
-from helpers import mk
+from helpers import gf_rank
 
 KNOWN_COUNTS = {1: 2, 2: 5, 3: 16, 4: 68, 5: 406}
 
@@ -62,23 +64,64 @@ def test_enumeration_caps():
         pair_records(6)
 
 
-def test_witness_search_finds_the_constructed_witness(u13, u23):
-    found = witness_search(u13, u23)
-    built = lift_witness(u13, u23, ("x",)).n
-    assert found == built
-    assert all_witnesses(u13, u23) == [built]
+def test_lift_buckets_hold_the_constructed_witness(u13, u23):
+    cat = enumerate_matroids(3)
+    i, j = cat.index_of(u13), cat.index_of(u23)
+    built = lift_witness(u13, u23, fresh_labels(u13.ground, 1)).n
+    assert lift_buckets(cat)[(i, j)] == [built]
+    assert cat.witnesses[(i, j)].n == built
 
 
-def test_witness_search_direction_matters(u13, u23):
-    assert witness_search(u23, u13) is None
-    assert all_witnesses(u23, u13) == []
+def test_lift_buckets_direction_matters(u13, u23):
+    cat = enumerate_matroids(3)
+    i, j = cat.index_of(u13), cat.index_of(u23)
+    assert (j, i) not in lift_buckets(cat)
 
 
-def test_witness_search_label_hygiene(u13, u23):
-    with pytest.raises(LabelClash):
-        witness_search(u13, u23, x_label="a")
-    with pytest.raises(LabelClash):
-        witness_search(u13, mk(2, "ab"))
+def test_lift_buckets_use_a_fresh_label(basis_catalogs):
+    for n in range(1, 4):
+        cat = basis_catalogs[n]
+        big = cat.ground.extend(fresh_labels(cat.ground, 1))
+        for lifts in lift_buckets(cat).values():
+            assert all(lift.ground == big for lift in lifts)
+
+
+def test_lift_bucket_keys_are_the_certified_pairs_up_to_step_one(basis_catalogs):
+    # both directions of the lift theorem at k = 1: every key certifies with
+    # step <= 1, and every such certified pair has a lift
+    for n in range(1, 4):
+        cat = basis_catalogs[n]
+        buckets = lift_buckets(cat)
+        for key in buckets:
+            assert key in cat.certified and cat.certified[key] <= 1
+        assert len(buckets) == sum(1 for s in cat.certified.values() if s <= 1)
+        assert sum(map(len, buckets.values())) == len(enumerate_matroids(n + 1))
+
+
+def test_witness_table_covers_positive_steps(basis_catalogs):
+    for n in range(1, 4):
+        cat = basis_catalogs[n]
+        table = cat.witnesses
+        assert list(table) == [p for p, s in cat.certified.items() if s >= 1]
+        for (i, j), w in table.items():
+            assert (w.m, w.l) == (cat.entries[i], cat.entries[j])
+            assert w.x_labels == fresh_labels(cat.ground, cat.certified[(i, j)])
+        assert cat.witnesses is table
+
+
+def test_witness_family_is_symmetric_in_the_new_labels(basis_catalogs):
+    # the z-parts of the constructed circuits are all subsets of each size,
+    # so permuting the new labels maps the family onto itself
+    for n in range(1, 5):
+        for w in basis_catalogs[n].witnesses.values():
+            e, s = n, len(w.x_labels)
+            for order in permutations(range(s)):
+                moved = SetFamily(
+                    c & ((1 << e) - 1)
+                    | sum(1 << (e + order[k]) for k in range(s) if c >> (e + k) & 1)
+                    for c in w.n.circuits
+                )
+                assert moved == w.n.circuits
 
 
 def test_pair_records_shape(basis_catalogs):
@@ -142,6 +185,25 @@ def test_random_matroids_are_valid_and_reproducible():
     assert draws[0] == again[0]
     # the distribution is not degenerate
     assert len({m.circuits for m in draws}) > 5
+
+
+def test_random_matroids_match_full_elimination():
+    # replay each draw and rebuild the circuits with a full GF(q) elimination
+    # per subset; the draw must leave the rng where the replay does
+    for seed in range(40):
+        rng, replay = random.Random(seed), random.Random(seed)
+        n = 5 + seed % 4
+        m = random_matroid(rng, n)
+        q = replay.choice((2, 3, 5))
+        r = replay.randint(0, n)
+        cols = [tuple(replay.randrange(q) for _ in range(r)) for _ in range(n)]
+
+        def dependent(mask):
+            chosen = [cols[i] for i in range(n) if mask >> i & 1]
+            return gf_rank(chosen, q) < len(chosen)
+
+        assert m.circuits == SetFamily(minimal_dependent_sets(m.ground, dependent))
+        assert rng.getstate() == replay.getstate()
 
 
 def test_random_pairs_always_certify():

@@ -28,8 +28,8 @@ from matlift.quotient import (
     verify_pair,
 )
 from matlift.minors import contract, delete
-from matlift.sets import SetFamily, fresh_labels
-from matlift.sweeps import certified_pairs
+from matlift.sets import SetFamily
+from matlift.sweeps import catalog_witnesses, lattice_stages
 
 from helpers import mk
 
@@ -209,16 +209,18 @@ def test_factor_compares_witness_labels_as_a_multiset(u13, u23):
 
 def test_factor_stages_are_witness_minors(basis_catalogs):
     # the chain ends are the operands themselves; here they are checked
-    # against the witness minors like every middle stage
-    for m, l, s in certified_pairs(basis_catalogs, 3, min_step=1):
-        labels = fresh_labels(m.ground, s)
-        w = lift_witness(m, l, labels)
-        for order in permutations(labels):
-            chain = factor_homotopy(m, l, order, witness=w)
-            assert len(chain) == s + 1
+    # against the witness minors like every middle stage, and every chain
+    # runs through the subset-lattice stages of its label prefixes
+    for w in catalog_witnesses(basis_catalogs, 3):
+        stages = lattice_stages(w)
+        assert len(stages) == 1 << len(w.x_labels)
+        for order in permutations(w.x_labels):
+            chain = factor_homotopy(w.m, w.l, order, witness=w)
+            assert len(chain) == len(order) + 1
             for i, stage in enumerate(chain.steps):
                 rest = contract(w.n, w.n.ground.mask_of(order[i:]))
                 assert stage == delete(rest, rest.ground.mask_of(order[:i]))
+                assert stage == stages[sum(1 << w.x_labels.index(x) for x in order[:i])]
 
 
 # ----------------------------------------------------------- stage families
@@ -263,12 +265,14 @@ def test_remark_comparison_shifted_reading_wins(u13, u23, f3):
 
 
 def test_remark_comparison_rows_are_the_closed_forms(basis_catalogs, u13, u23):
-    for m, l, s in certified_pairs(basis_catalogs, 3, min_step=1):
+    for w in catalog_witnesses(basis_catalogs, 3):
+        m, l = w.m, w.l
         rows = remark_comparison(m, l)
-        assert [r.i for r in rows] == list(range(s + 1))
+        assert [r.i for r in rows] == list(range(len(w.x_labels) + 1))
         for row in rows:
             assert row.shifted == remark_circuits(m, l, row.i + 1)[0]
             assert row.literal == remark_circuits(m, l, row.i)[0]
+        assert remark_comparison(m, l, witness=w) == rows
     with pytest.raises(RankMismatch):
         remark_comparison(u13, u13)
     with pytest.raises(QuotientViolation):
