@@ -9,7 +9,6 @@ counterexample is printed), 2 for unusable input or bad invocations.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional, Sequence
@@ -242,8 +241,7 @@ def _cmd_sweep(args) -> int:
     config = SweepConfig() if args.random else None
     outcomes = sweeps.run_all(args.n, config=config)
     for o in outcomes:
-        record = {"name": o.name, "ok": o.ok, "elapsed": o.elapsed, "stats": o.stats}
-        print(json.dumps(record) if args.json else o.line())
+        print(o.line())
     return 0 if all(o.ok for o in outcomes) else 1
 
 
@@ -342,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4, help="size cap (each sweep has its own)")
     p.add_argument("--random", action="store_true",
                    help="include the randomized instance sweep")
-    p.add_argument("--json", action="store_true",
-                   help="one JSON object per sweep: name, ok, elapsed, stats")
     p.set_defaults(handler=_cmd_sweep)
 
     return parser

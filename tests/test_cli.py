@@ -1,6 +1,5 @@
 """Command line behavior: outputs and the 0/1/2 exit code contract."""
 
-import json
 import subprocess
 import sys
 
@@ -146,22 +145,21 @@ def test_sweep_small(capsys):
     assert out.count("PASS") == 8 and "FAIL" not in out
 
 
-def test_sweep_json_reports_the_pinned_counts(basis_catalogs, monkeypatch, capsys):
+def test_sweep_reports_the_pinned_counts(basis_catalogs, monkeypatch):
     # reuse the session catalogs, whose pair and witness tables are built once
     monkeypatch.setattr(
         sweeps, "build_catalogs", lambda max_n: {n: basis_catalogs[n] for n in range(1, max_n + 1)}
     )
-    assert run_command(["sweep", "--n", "4", "--json"]) == 0
-    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert all(set(r) == {"name", "ok", "elapsed", "stats"} and r["ok"] for r in records)
-    stats = {r["name"]: r["stats"] for r in records}
+    outcomes = sweeps.run_all(4)
+    assert all(o.ok for o in outcomes)
+    stats = {o.name: o.stats for o in outcomes}
     assert len(stats) == 8
-    assert stats["catalog-cross-oracle"]["counts"] == {"1": 2, "2": 5, "3": 16, "4": 68}
+    assert stats["catalog-cross-oracle"]["counts"] == {1: 2, 2: 5, 3: 16, 4: 68}
     criterion = stats["lift-criterion"]
     assert (criterion["pairs"], criterion["certified"], criterion["witnesses"]) == (4909, 640, 549)
     assert stats["witness-oracle"]["agree"] == 70
     assert stats["homotopy"] == {"pairs": 236, "order_free": 236, "order_bound": 0}
-    assert stats["remark-comparison"]["shifted"] == [1367, 1367]
+    assert stats["remark-comparison"]["shifted"] == (1367, 1367)
 
 
 def test_sweep_refuses_empty_scope(capsys):
