@@ -9,6 +9,7 @@ counterexample is printed), 2 for unusable input or bad invocations.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence
@@ -248,7 +249,9 @@ def _cmd_sweep(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="matlift",
         description="Quotient and lift toolkit for matroids given by circuits.",

@@ -26,7 +26,7 @@ from typing import Union
 from . import quotient as _quotient
 from .axioms import check_circuit_axioms
 from .errors import ConstructionFailure, ExchangeFailure, GroundTooLarge
-from .matroid import Matroid, minimal_dependent_sets
+from .matroid import Matroid, minimal_dependent_sets, require_subset_table
 from .minors import contract, delete
 from .sets import GroundSet, SetFamily, default_ground, fresh_labels, masks_of_size
 from .textio import catalog_line, pair_line
@@ -129,8 +129,9 @@ def _enumerate_by_circuits(g: GroundSet) -> list[Matroid]:
     out = []
     for pick in range(1 << len(nonempty)):
         family = SetFamily(nonempty[i] for i in range(len(nonempty)) if pick >> i & 1)
-        if check_circuit_axioms(g, family).passed:
-            out.append(Matroid(g, family))
+        report = check_circuit_axioms(g, family)
+        if report.passed:
+            out.append(Matroid._from_report(report))
     return out
 
 
@@ -216,8 +217,12 @@ def pair_records(catalog: Union[MatroidCatalog, GroundSet, int]) -> list[PairRec
 
 
 def random_matroid(rng: random.Random, ground: Union[GroundSet, int]) -> Matroid:
-    """Column matroid of a uniform random matrix over GF(2), GF(3), or GF(5)."""
+    """Column matroid of a uniform random matrix over GF(2), GF(3), or GF(5).
+
+    Raises GroundTooLarge above ``SUBSET_TABLE_CAP`` elements before drawing.
+    """
     g = _as_ground(ground)
+    require_subset_table(g)
     n = len(g)
     q = rng.choice((2, 3, 5))
     r = rng.randint(0, n)

@@ -1,8 +1,10 @@
 """The core matroid type, represented by its family of circuits.
 
 A matroid here is a ground set plus the family of its circuits (the minimal
-dependent sets), stored canonically. Construction always validates the
-circuit axioms, so holding a ``Matroid`` is proof the family is sound.
+dependent sets), stored canonically. Holding a ``Matroid`` still proves
+that its family passed a circuit-axiom check. The constructor runs the weak
+check itself; ``Matroid._from_report`` is the one path whose check ran before
+the call, and it takes the passing report of that check, never a bare family.
 Everything else (rank, bases, duals, cyclic sets) is derived on demand.
 
 Equality is label-sensitive: two matroids are equal iff they have the same
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
-from .axioms import check_basis_exchange, check_circuit_axioms
+from .axioms import AxiomReport, check_basis_exchange, check_circuit_axioms
 from .errors import (
     EliminationFailure,
     EmptyBasisFamily,
@@ -33,6 +35,11 @@ from .sets import GroundSet, SetFamily, bit_indices, masks_of_size
 # All-subset scans (cyclic_sets without a filter) refuse to run above this
 # many elements; callers must pass a nullity filter or test sets pointwise.
 CYCLIC_ENUM_CAP = 16
+
+# minimal_dependent_sets tests every subset and keeps a byte per subset, so it
+# and its callers (dual, from_bases, random_matroid) refuse larger ground
+# sets. At this size the free matroid's dual takes about 2 s.
+SUBSET_TABLE_CAP = 20
 
 
 @dataclass
@@ -74,19 +81,34 @@ class Matroid:
 
     def __init__(self, ground: GroundSet, circuits: SetFamily | Iterable[int]):
         fam = circuits if isinstance(circuits, SetFamily) else SetFamily(circuits)
-        report = check_circuit_axioms(ground, fam, strong=False)
+        self._adopt(check_circuit_axioms(ground, fam, strong=False))
+
+    def _adopt(self, report: AxiomReport) -> None:
+        """Take the ground and family of a passing report; raise on a failed one."""
         if not report.passed:
             v = report.violations[0]
             if v.axiom == "AC0":
                 raise EmptyCircuit("the empty set cannot be a circuit")
             if v.axiom == "AC1":
                 raise NotClutter(*v.witness)
-            raise EliminationFailure(*v.witness)
-        self.ground = ground
-        self.circuits = fam
+            raise EliminationFailure(*v.witness[:3])
+        self.ground = report.ground
+        self.circuits = report.family
         self._rank_memo: dict[int, int] = {}
 
     # --------------------------------------------------------- constructors
+
+    @classmethod
+    def _from_report(cls, report: AxiomReport) -> "Matroid":
+        """The matroid of a family that already passed ``check_circuit_axioms``.
+
+        For callers that hold the passing report (weak or strong) of that
+        check, so the family is not scanned again. A failed report raises
+        what the constructor raises on the same violation.
+        """
+        m = cls.__new__(cls)
+        m._adopt(report)
+        return m
 
     @classmethod
     def from_bases(cls, ground: GroundSet, bases: SetFamily | Iterable[int]) -> "Matroid":
@@ -94,6 +116,7 @@ class Matroid:
 
         Circuits are the minimal sets inside no basis.
         """
+        require_subset_table(ground)
         fam = bases if isinstance(bases, SetFamily) else SetFamily(bases)
         report = check_basis_exchange(ground, fam)
         if not report.passed:
@@ -198,6 +221,7 @@ class Matroid:
         check runs on the complements, since duality implies it (Oxley,
         Matroid Theory, 2nd ed., ch. 2); the constructor checks the circuits.
         """
+        require_subset_table(self.ground)
         bases = self.bases().members
         return Matroid(
             self.ground, minimal_dependent_sets(self.ground, lambda d: all(d & b for b in bases))
@@ -271,8 +295,8 @@ class Matroid:
         if nullity == 0:
             return SetFamily([0])
         if n <= CYCLIC_ENUM_CAP:
-            return SetFamily(
-                a for a in range(1 << n) if self.nullity(a) == nullity and self.is_cyclic(a)
+            return SetFamily(  # rank only the cyclic sets
+                a for a in range(1 << n) if self.is_cyclic(a) and self.nullity(a) == nullity
             )
         out = set()
         for combo in combinations(self.circuits.members, nullity):
@@ -320,6 +344,7 @@ def minimal_dependent_sets(ground: GroundSet, dependent: Callable[[int], bool]) 
     ``dependent`` is called once per non-empty subset, in ascending mask
     order; its answers are kept, so one-smaller subsets are looked up.
     """
+    require_subset_table(ground)
     dep = bytearray(ground.full_mask + 1)
     out = []
     for mask in range(1, ground.full_mask + 1):
@@ -328,3 +353,11 @@ def minimal_dependent_sets(ground: GroundSet, dependent: Callable[[int], bool]) 
             if not any(dep[mask & ~(1 << i)] for i in bit_indices(mask)):
                 out.append(mask)
     return out
+
+
+def require_subset_table(ground: GroundSet) -> None:
+    """Raise GroundTooLarge when ``minimal_dependent_sets`` would exceed its cap."""
+    if len(ground) > SUBSET_TABLE_CAP:
+        raise GroundTooLarge(
+            f"{len(ground)} elements: subset tables handle at most {SUBSET_TABLE_CAP}"
+        )

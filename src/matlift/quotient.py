@@ -212,7 +212,7 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
             "constructed family fails circuit axioms: " + report.describe(),
             _dump(m, l, labels, big.format_family(candidate)),
         )
-    n = Matroid(big, candidate)
+    n = Matroid._from_report(report)  # the strong check implies the weak one
     x_mask = big.full_mask & ~m.ground.full_mask
     if contract(n, x_mask) != m:
         raise ConstructionFailure(
@@ -313,7 +313,7 @@ def factor_homotopy(
 
     Builds (or reuses) the lift witness N and reads the chain off it: the
     ends are m and l, which the witness verified as N's minors, and middle
-    stage i contracts the last s-i new elements of N and deletes the first i.
+    stage i deletes the first i new elements of N and contracts the rest.
     Every stage must gain one rank and every consecutive pair must certify;
     any violation raises FactorizationFailure.
 
@@ -327,12 +327,9 @@ def factor_homotopy(
         raise PreconditionFailure("witness endpoints do not match the operands")
     elif sorted(witness.x_labels) != sorted(labels):
         raise PreconditionFailure("witness labels do not match the given order")
-    n = witness.n
+    mask_of = witness.n.ground.mask_of
     k = len(labels)
-    middle = []
-    for i in range(1, k):
-        stage = contract(n, n.ground.mask_of(labels[i:]))
-        middle.append(delete(stage, stage.ground.mask_of(labels[:i])))
+    middle = [_stage(witness, mask_of(labels[:i])) for i in range(1, k)]
     steps = (m, *middle, l)
     base = m.rank()
     for i, stage in enumerate(steps):
@@ -348,6 +345,18 @@ def factor_homotopy(
                 + outcome.describe()
             )
     return HomotopySequence(steps, labels)
+
+
+def _stage(witness: LiftWitness, deleted: int) -> Matroid:
+    """The witness minus the new elements in mask ``deleted``, contracted by
+    the other new elements.
+
+    Minors on disjoint sets commute; deleting first leaves a smaller matroid
+    to contract. ``deleted`` must be a mask of new elements of ``witness.n``.
+    """
+    e = len(witness.m.ground)  # the new elements follow the ground, in order
+    stage = delete(witness.n, deleted)
+    return contract(stage, stage.ground.full_mask >> e << e)
 
 
 # ------------------------------------------------------------ remark families
@@ -588,16 +597,15 @@ def base_family_witness(
     return basis, fam
 
 
-def bigcyclo_check(m: Matroid, l: Matroid) -> SetFamily:
+def bigcyclo_check(m: Matroid, l: Matroid, s: int) -> SetFamily:
     """Check that every cyclic set of m one nullity above the step is
     dependent in l.
 
-    Requires a certified pair; returns the family of checked sets. A cyclic
-    set of nullity step+1 that is independent in l would contradict the
-    construction's minimality and raises LemmaCounterexample.
+    Requires a pair the caller has already certified, with its rank step
+    ``s``; the pair is not certified again. Returns the family of checked
+    sets. A cyclic set of nullity s+1 that is independent in l would
+    contradict the construction's minimality and raises LemmaCounterexample.
     """
-    outcome = _certified(m, l)
-    s = outcome.step_s
     checked = m.cyclic_sets(nullity=s + 1)
     for a in checked:
         if l.is_independent(a):

@@ -297,11 +297,11 @@ def lemma_exhaustive_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None
                     totals[key] += val
             certified = cat.certified
             down: dict[int, list[int]] = {}
-            for i, j in certified:
+            for (i, j), s in certified.items():
                 m, l = cat.entries[i], cat.entries[j]
                 _pair_rank_order_check(m, l)
                 totals["rank-order"] += 1
-                quotient.bigcyclo_check(m, l)
+                quotient.bigcyclo_check(m, l, s)
                 totals["bigcyclo"] += 1
                 down.setdefault(i, []).append(j)
             for i, j in certified:
@@ -353,7 +353,7 @@ def lemma_randomized_sweep(config: Optional[SweepConfig] = None) -> SweepOutcome
                 )
             _pair_rank_order_check(m, l)
             instances["rank-order"] += 1
-            quotient.bigcyclo_check(m, l)
+            quotient.bigcyclo_check(m, l, cert.step_s)
             instances["bigcyclo"] += 1
 
         for _ in range(RANDOM_TRIPLES):
@@ -392,15 +392,12 @@ def lattice_stages(w: quotient.LiftWitness) -> list[Matroid]:
     (bit k stands for ``w.x_labels[k]``): N minus D, contracted by the rest.
 
     That is the stage ``factor_homotopy`` takes for the first |D| labels of
-    an order, since minors on disjoint sets commute; deleting first shrinks
-    the contraction. Stage 0 is m and the full stage is l.
+    an order; both build it with ``quotient._stage``. Stage 0 is m and the
+    full stage is l.
     """
     e = len(w.m.ground)  # the new labels follow the ground, in order
-    stages = [w.m]
-    for d in range(1, (1 << len(w.x_labels)) - 1):
-        stage = delete(w.n, d << e)
-        stages.append(contract(stage, stage.ground.full_mask >> e << e))
-    return stages + [w.l]
+    middle = range(1, (1 << len(w.x_labels)) - 1)
+    return [w.m, *(quotient._stage(w, d << e) for d in middle), w.l]
 
 
 def homotopy_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) -> SweepOutcome:

@@ -71,6 +71,25 @@ def brute_cyclic_sets(m: Matroid) -> set[int]:
     return found
 
 
+def brute_cyclic_sets_by_nullity(m: Matroid) -> dict[int, set[int]]:
+    """All unions of circuits, grouped by nullity. The rank of a set is the
+    size of its largest independent subset, found over one-smaller subsets."""
+    rank: dict[int, int] = {}
+
+    def r(a: int) -> int:
+        if a not in rank:
+            if brute_independent(m.circuits, a):
+                rank[a] = a.bit_count()
+            else:
+                rank[a] = max(r(a & ~(1 << i)) for i in range(len(m.ground)) if a >> i & 1)
+        return rank[a]
+
+    out: dict[int, set[int]] = {}
+    for a in brute_cyclic_sets(m):
+        out.setdefault(a.bit_count() - r(a), set()).add(a)
+    return out
+
+
 def gf_rank(vectors: list[tuple[int, ...]], q: int) -> int:
     """Rank of a set of vectors over the prime field with q elements, by a
     full Gauss-Jordan elimination."""

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from matlift import sweeps
+from matlift import cli, sweeps
 from matlift.cli import run_command
 from matlift.textio import parse_matroid_text
 
@@ -44,6 +44,13 @@ def test_dual_output_parses(files, capsys):
     assert run_command(["dual", files["u13"]]) == 0
     out = capsys.readouterr().out
     assert parse_matroid_text(out).circuits.members == (0b111,)
+
+
+def test_dual_refuses_large_ground(tmp_path, capsys):
+    path = tmp_path / "free24.txt"
+    path.write_text("matroid free24\nground " + " ".join(f"e{i}" for i in range(24)) + "\nend\n")
+    assert run_command(["dual", str(path)]) == 2
+    assert "at most 20" in capsys.readouterr().err
 
 
 def test_minor_delete_and_contract(files, capsys):
@@ -176,6 +183,26 @@ def test_usage_errors(files, capsys):
     assert run_command(["rank", files["dir"] + "/missing.txt"]) == 2
     assert run_command(["rank", files["bad"]]) == 2  # invalid circuit family
     assert run_command(["--help"]) == 0
+
+
+def test_parser_is_reused_without_leaking_options(files, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run_command(["minor", files["u13"], "--delete", "a"]) == 0
+    capsys.readouterr()
+    assert run_command(["minor", files["u13"], "--contract", "b"]) == 0
+    reused = capsys.readouterr().out
+    cli.build_parser.cache_clear()
+    assert run_command(["minor", files["u13"], "--contract", "b"]) == 0
+    assert capsys.readouterr().out == reused
+    assert parse_matroid_text(reused).ground.labels == ("a", "c")
+    # a call that exits 2 leaves the next one working
+    assert run_command(["minor", files["u13"], "--bogus"]) == 2
+    assert run_command(["rank", files["u23"]]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert run_command(["--help"]) == 0
+    assert "usage" in capsys.readouterr().out
+    assert run_command(["rank", files["u23"], "--set", "a"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_console_script_entry():

@@ -4,6 +4,8 @@ Rank and bases are cross-checked against the brute-force oracle in helpers,
 which knows nothing about the greedy implementation.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,13 +19,21 @@ from matlift.errors import (
     PreconditionFailure,
     StillIndependent,
 )
-from matlift.enumeration import enumerate_matroids
-from matlift.matroid import Matroid, free_matroid, minimal_dependent_sets, uniform_matroid
+from matlift.axioms import check_circuit_axioms
+from matlift.enumeration import enumerate_matroids, random_matroid
+from matlift.matroid import (
+    SUBSET_TABLE_CAP,
+    Matroid,
+    free_matroid,
+    minimal_dependent_sets,
+    uniform_matroid,
+)
 from matlift.sets import GroundSet, SetFamily, default_ground
 
 from helpers import (
     brute_bases,
     brute_cyclic_sets,
+    brute_cyclic_sets_by_nullity,
     brute_independent,
     brute_rank,
     mk,
@@ -38,6 +48,22 @@ def test_constructor_rejects_non_matroids():
         Matroid(g, [0b001, 0b011])
     with pytest.raises(EliminationFailure):
         Matroid(g, [0b011, 0b101])
+
+
+def test_from_report_refuses_a_failed_report():
+    g = default_ground(3)
+    for fam, error in (([0b001, 0b011], NotClutter), ([0b011, 0b101], EliminationFailure)):
+        for strong in (False, True):
+            report = check_circuit_axioms(g, SetFamily(fam), strong=strong)
+            with pytest.raises(error):
+                Matroid._from_report(report)
+
+
+def test_from_report_takes_the_report_family(u13):
+    report = check_circuit_axioms(u13.ground, u13.circuits, strong=True)
+    m = Matroid._from_report(report)
+    assert m == u13 and m.circuits is report.family
+    assert m.rank() == 1
 
 
 def test_rank_against_oracle_everywhere():
@@ -119,6 +145,36 @@ def test_cyclic_nullity_filter(u13):
     assert set(u13.cyclic_sets(nullity=3)) == set()
 
 
+def _assert_cyclic_sets_by_nullity(m):
+    expected = brute_cyclic_sets_by_nullity(m)
+    for k in range(len(m.ground) + 1):
+        assert set(m.cyclic_sets(nullity=k)) == expected.get(k, set()), (m, k)
+
+
+def test_cyclic_nullity_filter_on_the_catalogs(basis_catalogs):
+    for n in range(1, 6):
+        for m in basis_catalogs[n].entries:
+            _assert_cyclic_sets_by_nullity(m)
+
+
+def test_cyclic_nullity_filter_on_random_matroids():
+    for seed in range(30):
+        _assert_cyclic_sets_by_nullity(random_matroid(random.Random(seed), 7 + seed % 3))
+
+
+def test_cyclic_nullity_filter_above_the_scan_cap():
+    # U(1,3) + U(2,4) + U(1,2) + U(3,5) + three coloops: 17 elements, so the
+    # filter takes unions of k circuits instead of scanning every subset
+    m = mk(
+        tuple("abcdefghijklmnopq"),
+        "ab", "ac", "bc",
+        "def", "deg", "dfg", "efg",
+        "hi",
+        "jklm", "jkln", "jkmn", "jlmn", "klmn",
+    )
+    _assert_cyclic_sets_by_nullity(m)
+
+
 def test_cyclic_nullity_strictly_monotone(basis_catalogs):
     # a proper subset of a cyclic set always has smaller nullity
     for n in range(1, 5):
@@ -139,6 +195,28 @@ def test_large_ground_requires_nullity_filter():
         f.cyclic_sets()
     assert set(f.cyclic_sets(nullity=0)) == {0}
     assert set(f.cyclic_sets(nullity=1)) == set()
+
+
+def test_subset_tables_refuse_large_grounds(monkeypatch):
+    g = GroundSet(tuple(f"e{i}" for i in range(SUBSET_TABLE_CAP + 1)))
+    f = free_matroid(g)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the cap must be checked before any work starts")
+
+    monkeypatch.setattr(Matroid, "bases", no_work)
+    monkeypatch.setattr("matlift.matroid.check_basis_exchange", no_work)
+    with pytest.raises(GroundTooLarge):
+        f.dual()
+    with pytest.raises(GroundTooLarge):
+        Matroid.from_bases(g, [g.full_mask])
+    with pytest.raises(GroundTooLarge):
+        minimal_dependent_sets(g, no_work)
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(GroundTooLarge):
+        random_matroid(rng, g)
+    assert rng.getstate() == state
 
 
 def test_loops_and_nullity(loops2):

@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from matlift.errors import (
+    ConstructionFailure,
     GroundMismatch,
     LabelClash,
     NotDependent,
@@ -27,8 +28,10 @@ from matlift.quotient import (
     remark_comparison,
     verify_pair,
 )
+from matlift.matroid import Matroid
 from matlift.minors import contract, delete
 from matlift.sets import SetFamily
+from matlift.textio import parse_matroid_text
 from matlift.sweeps import catalog_witnesses, lattice_stages
 
 from helpers import mk
@@ -116,6 +119,38 @@ def test_witness_labels_must_be_fresh_and_distinct(u13, u23, f3):
         lift_witness(u13, u23, ("a",))
     with pytest.raises(LabelClash):
         lift_witness(u13, f3, ("x", "x"))
+
+
+@pytest.mark.parametrize("tamper", ["drop one", "add one", "drop all"])
+def test_wrong_candidate_family_is_caught(u13, u23, monkeypatch, tamper):
+    # N is built from the strong report without a second axiom scan; a wrong
+    # family must still fail that report (drop one, add one) or the minor
+    # comparison (drop all), with a dump whose inputs replay
+    cyclic_sets = Matroid.cyclic_sets
+
+    def tampered(self, nullity=None):
+        fam = cyclic_sets(self, nullity)
+        if tamper == "drop one":
+            return SetFamily(fam.members[1:])
+        if tamper == "add one":
+            return SetFamily(fam.members + (0b001,))  # {a} is not cyclic in u13
+        return SetFamily()
+
+    monkeypatch.setattr(Matroid, "cyclic_sets", tampered)
+    with pytest.raises(ConstructionFailure) as info:
+        lift_witness(u13, u23, ("x",))
+    monkeypatch.undo()
+    m_text, l_text, rest = info.value.dump.split("end\n", 2)
+    m, l = parse_matroid_text(m_text + "end\n"), parse_matroid_text(l_text + "end\n")
+    assert (m, l) == (u13, u23)
+    labels = tuple(rest.split("\n")[1].split()[1:])
+    assert labels == ("x",)
+    assert lift_witness(m, l, labels).n == lift_witness(u13, u23, ("x",)).n
+
+
+def test_witness_built_from_its_report_equals_the_checked_build(basis_catalogs):
+    for w in catalog_witnesses(basis_catalogs, 4):
+        assert w.n == Matroid(w.n.ground, w.n.circuits)
 
 
 # ------------------------------------------------------------- verification
@@ -341,8 +376,6 @@ def test_base_family_witness_preconditions(u13):
 
 
 def test_bigcyclo_families(u13, u23, f3):
-    fam = bigcyclo_check(u13, u23)
+    fam = bigcyclo_check(u13, u23, 1)
     assert fam == SetFamily([0b111])
-    assert bigcyclo_check(u13, f3) == SetFamily([])
-    with pytest.raises(QuotientViolation):
-        bigcyclo_check(u23, u13)
+    assert bigcyclo_check(u13, f3, 2) == SetFamily([])
