@@ -38,7 +38,10 @@ CYCLIC_ENUM_CAP = 16
 
 # minimal_dependent_sets tests every subset and keeps a byte per subset, so it
 # and its callers (dual, from_bases, random_matroid) refuse larger ground
-# sets. At this size the free matroid's dual takes about 2 s.
+# sets. The cap bounds the table (2^20 bytes) and the number of subset tests,
+# not the run time: dual and from_bases test each subset against every basis,
+# so their time grows with the basis count. The free matroid, with one basis,
+# is the cheapest case, and its dual at this size takes about 2 s.
 SUBSET_TABLE_CAP = 20
 
 

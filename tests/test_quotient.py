@@ -1,7 +1,7 @@
 """Certification, witness construction, factorization, stage families,
 and the per-matroid checked statements, on hand-worked instances."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -34,7 +34,7 @@ from matlift.sets import SetFamily
 from matlift.textio import parse_matroid_text
 from matlift.sweeps import catalog_witnesses, lattice_stages
 
-from helpers import mk
+from helpers import brute_cyclic_sets_by_nullity, brute_independent, mk
 
 
 # --------------------------------------------------------------- certifying
@@ -148,9 +148,21 @@ def test_wrong_candidate_family_is_caught(u13, u23, monkeypatch, tamper):
     assert lift_witness(m, l, labels).n == lift_witness(u13, u23, ("x",)).n
 
 
-def test_witness_built_from_its_report_equals_the_checked_build(basis_catalogs):
+def test_witness_family_matches_the_brute_force_construction(basis_catalogs):
+    # N's circuits are L's circuits plus A + Z for every cyclic set A of M of
+    # nullity c that L leaves independent and every s+1-c new elements Z; the
+    # cyclic sets come from the brute-force oracle, and the expected N goes
+    # through the checking constructor
     for w in catalog_witnesses(basis_catalogs, 4):
-        assert w.n == Matroid(w.n.ground, w.n.circuits)
+        e, s = len(w.m.ground), len(w.x_labels)
+        by_nullity = brute_cyclic_sets_by_nullity(w.m)
+        expected = list(w.l.circuits)
+        for c in range(1, s + 1):
+            for a in by_nullity.get(c, ()):
+                if brute_independent(w.l.circuits, a):
+                    for z in combinations(range(e, e + s), s + 1 - c):
+                        expected.append(a | sum(1 << i for i in z))
+        assert w.n == Matroid(w.n.ground, expected)
 
 
 # ------------------------------------------------------------- verification
