@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from matlift.sweeps import remark_comparison_sweep
+from matlift.sweeps import build_catalogs, remark_comparison_sweep
 
 
 def main() -> int:
@@ -18,7 +18,7 @@ def main() -> int:
     ap.add_argument("--max-n", type=int, default=4)
     ap.add_argument("--out", default=os.path.join("reports", "remark_comparison.txt"))
     args = ap.parse_args()
-    out = remark_comparison_sweep(args.max_n)
+    out = remark_comparison_sweep(args.max_n, build_catalogs(args.max_n))
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(out.stats["report"] + "\n")

@@ -24,7 +24,6 @@ from .quotient import (
     QuotientCertificate,
     QuotientRefusal,
     certify_quotient,
-    compose_witnesses,
     factor_homotopy,
     lift_witness,
     remark_circuits,
@@ -51,7 +50,6 @@ __all__ = [
     "QuotientViolation",
     "SetFamily",
     "certify_quotient",
-    "compose_witnesses",
     "contract",
     "default_ground",
     "delete",

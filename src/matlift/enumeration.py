@@ -25,7 +25,7 @@ from typing import Union
 
 from . import quotient as _quotient
 from .axioms import check_circuit_axioms
-from .errors import ConstructionFailure, ExchangeFailure, GroundTooLarge
+from .errors import ExchangeFailure, GroundTooLarge
 from .matroid import Matroid, minimal_dependent_sets, require_subset_table
 from .minors import contract, delete
 from .sets import GroundSet, SetFamily, default_ground, fresh_labels, masks_of_size
@@ -46,9 +46,6 @@ class MatroidCatalog:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def index_of(self, m: Matroid) -> int:
-        return self.entries.index(m)
 
     @cached_property
     def certified(self) -> dict[tuple[int, int], int]:
@@ -164,9 +161,8 @@ class PairRecord:
     """Outcome of the quotient test for one ordered catalog pair.
 
     ``s`` is rank(L) minus rank(M) whether or not the pair certifies.
-    ``witness`` is ``ok`` when the lift construction built and verified,
-    ``na`` when no construction applies (refused pair, or s = 0), and
-    ``FAIL`` if a construction that should have verified did not.
+    ``witness`` is ``ok`` when the lift construction built and verified, and
+    ``na`` when no construction applies (refused pair, or s = 0).
     """
 
     idx_m: int
@@ -184,33 +180,23 @@ def pair_records(catalog: Union[MatroidCatalog, GroundSet, int]) -> list[PairRec
 
     Takes a catalog, or a ground set (or its size) whose full catalog is
     enumerated; ground sets above ``PAIR_CATALOG_CAP`` elements raise
-    GroundTooLarge before any enumeration starts.
+    GroundTooLarge before any enumeration starts. The witness status comes
+    from the catalog's shared witness table, so a failed construction raises
+    ConstructionFailure.
     """
     g = catalog.ground if isinstance(catalog, MatroidCatalog) else _as_ground(catalog)
     if len(g) > PAIR_CATALOG_CAP:
         raise GroundTooLarge(f"pair records handle at most {PAIR_CATALOG_CAP} elements")
     if not isinstance(catalog, MatroidCatalog):
         catalog = enumerate_matroids(g)
-    records = []
-    entries = catalog.entries
     certified = catalog.certified
-    labels = fresh_labels(g, len(g))
-    for i, m in enumerate(entries):
-        for j, l in enumerate(entries):
-            s = l.rank() - m.rank()
-            if (i, j) not in certified:
-                records.append(PairRecord(i, j, False, s, "na"))
-                continue
-            if s == 0:
-                records.append(PairRecord(i, j, True, 0, "na"))
-                continue
-            try:
-                _quotient.lift_witness(m, l, labels[:s])
-                status = "ok"
-            except ConstructionFailure:
-                status = "FAIL"
-            records.append(PairRecord(i, j, True, s, status))
-    return records
+    witnesses = catalog.witnesses
+    ranks = [m.rank() for m in catalog.entries]
+    return [
+        PairRecord(i, j, (i, j) in certified, rl - rm, "ok" if (i, j) in witnesses else "na")
+        for i, rm in enumerate(ranks)
+        for j, rl in enumerate(ranks)
+    ]
 
 
 # ---------------------------------------------------------- random instances

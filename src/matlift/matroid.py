@@ -47,14 +47,12 @@ SUBSET_TABLE_CAP = 20
 
 @dataclass
 class FundamentalFamily:
-    """Fundamental circuits of a set of roots over one independent set.
+    """Fundamental circuits of a set of root elements over one independent set.
 
-    ``circuits`` maps each root element (index, not in ``base_independent``)
-    to the unique circuit inside ``base_independent`` plus that root.
+    ``circuits`` maps each root (an element index) to the unique circuit
+    inside the independent set plus that root.
     """
 
-    ground: GroundSet
-    base_independent: int
     roots: int
     circuits: dict[int, int] = field(default_factory=dict)
 
@@ -68,13 +66,6 @@ class FundamentalFamily:
         for c in self.circuits.values():
             out |= c
         return out
-
-    def describe(self) -> str:
-        g = self.ground
-        pairs = ", ".join(
-            f"{g.labels[x]} -> {g.format_mask(c)}" for x, c in sorted(self.circuits.items())
-        )
-        return f"over {g.format_mask(self.base_independent)}: {pairs or 'empty'}"
 
 
 class Matroid:
@@ -160,46 +151,26 @@ class Matroid:
         return not self.is_dependent(a)
 
     def rank(self, a: Optional[int] = None) -> int:
-        """Rank of ``a`` (default: the whole ground set).
-
-        Greedy over ground order; memoized per subset. The result does not
-        depend on the insertion order, which the test suite checks by
-        permuting the scan.
-        """
+        """Rank of ``a`` (default: the whole ground set), memoized per subset."""
         if a is None:
             a = self.ground.full_mask
-        else:
-            self.ground.check_mask(a)
         memo = self._rank_memo
         got = memo.get(a)
         if got is None:
-            got = self._rank_greedy(a, tuple(bit_indices(a)))
-            memo[a] = got
+            got = memo[a] = self.max_independent(a).bit_count()
         return got
 
-    def _rank_greedy(self, a: int, order: tuple[int, ...]) -> int:
-        circuits = self.circuits.members
-        current = 0
-        size = 0
-        for i in order:
-            cand = current | (1 << i)
-            if not any(c & ~cand == 0 for c in circuits):
-                current = cand
-                size += 1
-        return size
+    def max_independent(self, a: int, start: int = 0) -> int:
+        """A maximal independent subset of ``a`` that contains ``start``.
 
-    def max_independent(self, a: int, order: Optional[tuple[int, ...]] = None) -> int:
-        """A maximal independent subset of ``a``, greedy over ``order``.
-
-        ``order`` defaults to ascending ground order; indices outside ``a``
-        are skipped, so any permutation of the ground can be passed.
+        ``start`` must be an independent subset of ``a``; the other elements
+        of ``a`` are added greedily in ascending ground order whenever the set
+        stays independent.
         """
         self.ground.check_mask(a)
         circuits = self.circuits.members
-        current = 0
-        for i in order if order is not None else bit_indices(a):
-            if not a >> i & 1:
-                continue
+        current = start
+        for i in bit_indices(a & ~start):
             cand = current | (1 << i)
             if not any(c & ~cand == 0 for c in circuits):
                 current = cand
@@ -263,7 +234,7 @@ class Matroid:
         if roots & independent:
             raise PreconditionFailure("roots must lie outside the independent set")
         circuits = {x: self.fundamental_circuit(independent, x) for x in bit_indices(roots)}
-        return FundamentalFamily(self.ground, independent, roots, circuits)
+        return FundamentalFamily(roots, circuits)
 
     # ------------------------------------------------------------ cyclic sets
 

@@ -141,18 +141,15 @@ def _certified(m: Matroid, l: Matroid) -> QuotientCertificate:
 class LiftWitness:
     """Verified extension matroid realizing a certified pair.
 
-    ``n`` lives on the ground set of ``m`` extended by ``x_labels``;
-    ``x_family`` is the constructed block of circuits that meet the new
-    elements. ``verified`` records that both minors of ``n`` were checked
-    against the operands and the circuit family is exactly the constructed
-    one.
+    ``n`` lives on the ground set of ``m`` extended by ``x_labels``.
+    ``verified`` records that both minors of ``n`` were checked against the
+    operands and the circuit family is exactly the constructed one.
     """
 
     m: Matroid
     l: Matroid
     n: Matroid
     x_labels: tuple[str, ...]
-    x_family: SetFamily
     certificate: QuotientCertificate
     verified: bool
 
@@ -224,7 +221,7 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
             "deletion of the witness does not return the upper matroid",
             _dump(m, l, labels, serialize_matroid_text(n, "N")),
         )
-    return LiftWitness(m, l, n, labels, SetFamily(x_members), outcome, True)
+    return LiftWitness(m, l, n, labels, outcome, True)
 
 
 # ---------------------------------------------------------------- verify_pair
@@ -268,27 +265,6 @@ def verify_pair(n: Matroid, x: int, m: Matroid, l: Matroid) -> VerifyReport:
     return VerifyReport(c_ok and d_ok, c_ok, d_ok, contracted, deleted)
 
 
-# ------------------------------------------------------------- composition
-
-
-def compose_witnesses(w1: LiftWitness, w2: LiftWitness) -> LiftWitness:
-    """Chain two witnesses sharing a middle matroid into one witness.
-
-    The middle matroid of ``w1`` (its upper end) must equal the lower end of
-    ``w2``; the label blocks must not collide. The result is the verified
-    witness for the outer pair with the concatenated label block.
-    """
-    if w1.l != w2.m:
-        raise PreconditionFailure(
-            "witnesses do not chain: upper end of the first is not the "
-            "lower end of the second"
-        )
-    clash = set(w1.x_labels) & set(w2.x_labels)
-    if clash:
-        raise LabelClash(f"label blocks share {sorted(clash)}")
-    return lift_witness(w1.m, w2.l, w1.x_labels + w2.x_labels)
-
-
 # ------------------------------------------------------------- factorization
 
 
@@ -297,7 +273,6 @@ class HomotopySequence:
     """Chain of single-step quotients from m up to l along one label order."""
 
     steps: tuple[Matroid, ...]
-    x_order: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -344,7 +319,7 @@ def factor_homotopy(
                 f"consecutive stages {i}, {i + 1} do not certify: "
                 + outcome.describe()
             )
-    return HomotopySequence(steps, labels)
+    return HomotopySequence(steps)
 
 
 def _stage(witness: LiftWitness, deleted: int) -> Matroid:
@@ -450,16 +425,25 @@ def lemma_span_witness(m: Matroid, a: int) -> FundamentalFamily:
         raise NotDependent(m.ground.format_mask(a))
     independent = m.max_independent(a)
     fam = m.fundamental_family(independent, a & ~independent)
-    inside = m.restriction_circuits(a)
-    union_inside = 0
-    for c in inside:
-        union_inside |= c
-    if fam.union_mask != union_inside or fam.size != m.nullity(a):
+    if fam.union_mask != m.restriction_circuits(a).union_mask or fam.size != m.nullity(a):
         raise LemmaCounterexample(
             "span witness failed on " + m.ground.format_mask(a) + "\n"
             + serialize_matroid_text(m, "M")
         )
     return fam
+
+
+def _require_cyclic_pair(m: Matroid, a1: int, a2: int) -> None:
+    """Both sets cyclic and distinct, and ``a2`` not contained in ``a1``."""
+    m.ground.check_mask(a1 | a2)
+    if not (m.is_cyclic(a1) and m.is_cyclic(a2)):
+        raise PreconditionFailure("both arguments must be cyclic")
+    if a1 == a2:
+        raise PreconditionFailure("arguments must be distinct")
+    if a2 & ~a1 == 0:
+        raise PreconditionFailure(
+            "second argument must not be contained in the first"
+        )
 
 
 def cyclic_extension(m: Matroid, a1: int, a2: int) -> int:
@@ -472,22 +456,10 @@ def cyclic_extension(m: Matroid, a1: int, a2: int) -> int:
     set of ``a1`` across the union and adding one fundamental circuit rooted
     outside ``a1``.
     """
-    m.ground.check_mask(a1 | a2)
-    if not (m.is_cyclic(a1) and m.is_cyclic(a2)):
-        raise PreconditionFailure("both arguments must be cyclic")
-    if a1 == a2:
-        raise PreconditionFailure("arguments must be distinct")
-    if a2 & ~a1 == 0:
-        raise PreconditionFailure(
-            "second argument must not be contained in the first"
-        )
+    _require_cyclic_pair(m, a1, a2)
     i1 = m.max_independent(a1)
     union = a1 | a2
-    grown = i1
-    for b in bit_indices(union & ~a1 & ~i1):
-        cand = grown | (1 << b)
-        if m.is_independent(cand):
-            grown = cand
+    grown = m.max_independent(union & ~a1 | i1, start=i1)
     roots = union & ~grown & ~a1
     if not roots:
         raise LemmaCounterexample(
@@ -517,15 +489,7 @@ def cyclic_elimination(m: Matroid, a1: int, a2: int, a: int) -> int:
     exhaustive scan over subsets of the union minus ``a``, so a miss is a
     genuine counterexample and raises LemmaCounterexample.
     """
-    m.ground.check_mask(a1 | a2)
-    if not (m.is_cyclic(a1) and m.is_cyclic(a2)):
-        raise PreconditionFailure("both arguments must be cyclic")
-    if a1 == a2:
-        raise PreconditionFailure("arguments must be distinct")
-    if a2 & ~a1 == 0:
-        raise PreconditionFailure(
-            "second argument must not be contained in the first"
-        )
+    _require_cyclic_pair(m, a1, a2)
     bit = 1 << a
     if not (a1 & bit and a2 & bit):
         raise PreconditionFailure("element must belong to both sets")
@@ -563,17 +527,8 @@ def base_family_witness(
         raise PreconditionFailure("the circuit must lie inside the cyclic set")
     if not d_circuit >> d & 1:
         raise PreconditionFailure("the element must belong to the circuit")
-    seed = d_circuit & ~(1 << d)
-    independent = seed
-    for b in bit_indices(a & ~seed):
-        cand = independent | (1 << b)
-        if m.is_independent(cand):
-            independent = cand
-    basis = independent
-    for b in bit_indices(m.ground.full_mask & ~a & ~independent):
-        cand = basis | (1 << b)
-        if m.is_independent(cand):
-            basis = cand
+    independent = m.max_independent(a, start=d_circuit & ~(1 << d))
+    basis = m.max_independent(m.ground.full_mask & ~a | independent, start=independent)
     roots = a & ~independent
     fam = m.fundamental_family(basis, roots)
     ok = (

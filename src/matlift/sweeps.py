@@ -62,8 +62,8 @@ def _outcome(name: str, t0: float, ok: bool, details: str, **stats) -> SweepOutc
 CatalogMap = dict[int, MatroidCatalog]
 
 
-def build_catalogs(max_n: int, method: str = "basis") -> CatalogMap:
-    return {n: enumerate_matroids(n, method) for n in range(1, max_n + 1)}
+def build_catalogs(max_n: int) -> CatalogMap:
+    return {n: enumerate_matroids(n) for n in range(1, max_n + 1)}
 
 
 def certified_pairs(catalogs: CatalogMap, max_n: int) -> Iterator[tuple[Matroid, Matroid, int]]:
@@ -85,13 +85,12 @@ def catalog_witnesses(catalogs: CatalogMap, max_n: int) -> Iterator[quotient.Lif
 # ------------------------------------------------------------------ sweep 1
 
 
-def catalog_cross_oracle_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) -> SweepOutcome:
+def catalog_cross_oracle_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Both enumeration routes agree; every entry is strongly sound and
     dual-involutive."""
     from .axioms import check_circuit_axioms
 
     t0 = time.perf_counter()
-    catalogs = catalogs or build_catalogs(max_n)
     problems = []
     counts = {}
     for n in range(1, max_n + 1):
@@ -119,10 +118,9 @@ def catalog_cross_oracle_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = 
 # ------------------------------------------------------------------ sweep 2
 
 
-def lift_property_sweep(max_n: int = 5, catalogs: Optional[CatalogMap] = None) -> SweepOutcome:
+def lift_property_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Every (contraction, deletion) pair of minors of every matroid certifies."""
     t0 = time.perf_counter()
-    catalogs = catalogs or build_catalogs(max_n)
     checked = 0
     for n in range(2, max_n + 1):
         cat = catalogs[n]
@@ -146,14 +144,13 @@ def lift_property_sweep(max_n: int = 5, catalogs: Optional[CatalogMap] = None) -
 # ------------------------------------------------------------------ sweep 3
 
 
-def lift_criterion_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) -> SweepOutcome:
+def lift_criterion_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Every certified pair with positive rank step admits a verified witness.
 
     Also tallies the observed bound on circuit nullities: whether every
     circuit of the upper matroid has nullity at most step+1 downstairs.
     """
     t0 = time.perf_counter()
-    catalogs = catalogs or build_catalogs(max_n)
     pairs = sum(len(catalogs[n]) ** 2 for n in range(1, max_n + 1))
     certified = nullity_within = nullity_beyond = 0
     for m, l, s in certified_pairs(catalogs, max_n):
@@ -180,12 +177,11 @@ def lift_criterion_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) 
 # ------------------------------------------------------------------ sweep 4
 
 
-def witness_oracle_sweep(max_n: int = 3, catalogs: Optional[CatalogMap] = None) -> SweepOutcome:
+def witness_oracle_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """The one-element lifts realize exactly the certified pairs with step
     <= 1, so at step one certification is equivalent to having a lift, and
     the shared witness is always among the lifts of its pair."""
     t0 = time.perf_counter()
-    catalogs = catalogs or build_catalogs(max_n)
     agree = 0
     for n in range(1, max_n + 1):
         cat = catalogs[n]
@@ -284,10 +280,9 @@ def _pair_rank_order_check(m: Matroid, l: Matroid) -> None:
 # ------------------------------------------------------------------ sweep 5a
 
 
-def lemma_exhaustive_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) -> SweepOutcome:
+def lemma_exhaustive_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """All checked statements over all matroids, pairs, and triples in scope."""
     t0 = time.perf_counter()
-    catalogs = catalogs or build_catalogs(max_n)
     totals = dict.fromkeys(_ALL_STATEMENTS, 0)
     try:
         for n in range(1, max_n + 1):
@@ -400,7 +395,7 @@ def lattice_stages(w: quotient.LiftWitness) -> list[Matroid]:
     return [w.m, *(quotient._stage(w, d << e) for d in middle), w.l]
 
 
-def homotopy_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) -> SweepOutcome:
+def homotopy_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Factorization validity for every certified pair with step >= 2 under
     every ordering of the new elements; records order (in)dependence.
 
@@ -410,7 +405,6 @@ def homotopy_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) -> Swe
     its stage depends only on |D|.
     """
     t0 = time.perf_counter()
-    catalogs = catalogs or build_catalogs(max_n)
     pairs = order_free = order_bound = 0
     for w in catalog_witnesses(catalogs, max_n):
         if len(w.x_labels) < 2:
@@ -447,14 +441,13 @@ def homotopy_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) -> Swe
 # ------------------------------------------------------------------ sweep 8
 
 
-def remark_comparison_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = None) -> SweepOutcome:
+def remark_comparison_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Stage-family comparison tally over every certified pair with step >= 1.
 
     Nothing is asserted about either index reading; the outcome carries the
     agree/disagree tally and a printable report.
     """
     t0 = time.perf_counter()
-    catalogs = catalogs or build_catalogs(max_n)
     pairs = rows = shifted_agree = literal_agree = 0
     per_stage: dict[int, list[int]] = {}
     for w in catalog_witnesses(catalogs, max_n):
@@ -489,10 +482,9 @@ def remark_comparison_sweep(max_n: int = 4, catalogs: Optional[CatalogMap] = Non
 # ------------------------------------------------------------------ sweep 9
 
 
-def roundtrip_sweep(max_n: int = 5, catalogs: Optional[CatalogMap] = None) -> SweepOutcome:
+def roundtrip_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Serialize/parse identity for every catalog entry."""
     t0 = time.perf_counter()
-    catalogs = catalogs or build_catalogs(max_n)
     checked = 0
     for n in range(1, max_n + 1):
         for m in catalogs[n].entries:

@@ -20,7 +20,7 @@ where each circuit is the concatenation of its element indices in hex and a
 matroid with no circuits writes ``-``. Pair catalogs carry one ordered pair
 per line::
 
-    <idxM>;<idxL>;quotient=<0|1>;s=<int>;witness=<ok|na|FAIL>
+    <idxM>;<idxL>;quotient=<0|1>;s=<int>;witness=<ok|na>
 """
 
 from __future__ import annotations
@@ -49,12 +49,14 @@ class MatroidDocument:
         return Matroid(ground, [ground.mask_of(c) for c in self.circuit_labels])
 
 
-def _tokens(line: str, lineno: int) -> list[str]:
-    toks = line.split()
-    for t in toks[1:]:
-        if not _TOKEN_RE.fullmatch(t):
-            raise ParseError(f"bad token {t!r}", lineno, line.index(t) + 1)
-    return toks
+def _tokens(code: str, lineno: int) -> list[str]:
+    """The words of ``code``, a raw line without its comment; a bad argument
+    word raises ParseError with its 1-based column in that line."""
+    words = list(re.finditer(r"\S+", code))
+    for w in words[1:]:
+        if not _TOKEN_RE.fullmatch(w.group()):
+            raise ParseError(f"bad token {w.group()!r}", lineno, w.start() + 1)
+    return [w.group() for w in words]
 
 
 def parse_document(text: str) -> MatroidDocument:
@@ -65,12 +67,12 @@ def parse_document(text: str) -> MatroidDocument:
     seen_header = False
     seen_end = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        code = raw.split("#", 1)[0]
+        if not code.strip():
             continue
         if seen_end:
             raise ParseError("content after 'end'", lineno)
-        toks = _tokens(line, lineno)
+        toks = _tokens(code, lineno)
         head = toks[0]
         if head == "matroid":
             if seen_header:
@@ -224,6 +226,6 @@ def parse_pair_line(line: str, lineno: int = 1) -> tuple[int, int, bool, int, st
     if q not in ("0", "1"):
         raise ParseError(f"bad quotient flag {q!r}", lineno)
     witness = _field(parts[4], "witness", lineno)
-    if witness not in ("ok", "na", "FAIL"):
+    if witness not in ("ok", "na"):
         raise ParseError(f"bad witness field {witness!r}", lineno)
     return idx_m, idx_l, q == "1", s, witness

@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import configuration, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -9,6 +10,18 @@ from matlift import minors
 from matlift.enumeration import enumerate_matroids
 
 from helpers import mk
+
+# no example database: a test run leaves nothing behind to replay
+settings.register_profile("matlift", database=None)
+settings.load_profile("matlift")
+
+
+def pytest_sessionstart(session):
+    # Hypothesis caches source constants under its home directory, ./.hypothesis
+    # by default, already during collection, where fixtures have not run yet;
+    # keep it in pytest's temp area, the one tmp_path_factory hands out
+    factory = session.config._tmp_path_factory
+    configuration.set_hypothesis_home_dir(factory.mktemp("hypothesis"))
 
 
 @pytest.fixture(scope="session", autouse=True)

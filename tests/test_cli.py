@@ -5,8 +5,11 @@ import sys
 
 import pytest
 
-from matlift import cli, sweeps
+from matlift import cli, quotient, sweeps
 from matlift.cli import run_command
+from matlift.enumeration import enumerate_matroids
+from matlift.errors import ConstructionFailure
+from matlift.sets import fresh_labels
 from matlift.textio import parse_matroid_text
 
 U13 = "matroid u13\nground a b c\ncircuit a b\ncircuit a c\ncircuit b c\nend\n"
@@ -129,6 +132,24 @@ def test_enumerate_and_pairs(tmp_path, capsys):
     assert run_command(["pairs", "--n", "2", "--out", str(pairs)]) == 0
     capsys.readouterr()
     assert len(pairs.read_text().splitlines()) == 25
+
+
+def test_pairs_exits_1_with_a_replayable_dump(monkeypatch, capsys):
+    # the pair table reads the shared witness table, so one failed
+    # construction stops the command with the failure's dump
+    def failing(m, l, labels):
+        raise ConstructionFailure("forced failure", quotient._dump(m, l, labels))
+
+    monkeypatch.setattr(quotient, "lift_witness", failing)
+    assert run_command(["pairs", "--n", "2"]) == 1
+    head, dump = capsys.readouterr().out.split("\n", 1)
+    assert head == "FAIL: forced failure"
+    m_text, l_text, rest = dump.split("end\n", 2)
+    m, l = parse_matroid_text(m_text + "end\n"), parse_matroid_text(l_text + "end\n")
+    cat = enumerate_matroids(2)
+    (i, j), s = next((p, s) for p, s in cat.certified.items() if s >= 1)
+    assert (m, l) == (cat.entries[i], cat.entries[j])
+    assert rest.split() == ["labels", *fresh_labels(cat.ground, s)]
 
 
 def test_pairs_refuses_large_ground(monkeypatch, capsys):

@@ -50,7 +50,7 @@ def test_catalog_order_is_stable_and_indexable(basis_catalogs):
     again = enumerate_matroids(3)
     assert [m.circuits for m in cat.entries] == [m.circuits for m in again.entries]
     for i, m in enumerate(cat.entries):
-        assert cat.index_of(m) == i
+        assert cat.entries.index(m) == i
 
 
 def test_enumeration_caps():
@@ -66,7 +66,7 @@ def test_enumeration_caps():
 
 def test_lift_buckets_hold_the_constructed_witness(u13, u23):
     cat = enumerate_matroids(3)
-    i, j = cat.index_of(u13), cat.index_of(u23)
+    i, j = cat.entries.index(u13), cat.entries.index(u23)
     built = lift_witness(u13, u23, fresh_labels(u13.ground, 1)).n
     assert lift_buckets(cat)[(i, j)] == [built]
     assert cat.witnesses[(i, j)].n == built
@@ -74,7 +74,7 @@ def test_lift_buckets_hold_the_constructed_witness(u13, u23):
 
 def test_lift_buckets_direction_matters(u13, u23):
     cat = enumerate_matroids(3)
-    i, j = cat.index_of(u13), cat.index_of(u23)
+    i, j = cat.entries.index(u13), cat.entries.index(u23)
     assert (j, i) not in lift_buckets(cat)
 
 

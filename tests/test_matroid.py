@@ -28,7 +28,7 @@ from matlift.matroid import (
     minimal_dependent_sets,
     uniform_matroid,
 )
-from matlift.sets import GroundSet, SetFamily, default_ground
+from matlift.sets import GroundSet, SetFamily, default_ground, submasks
 
 from helpers import (
     brute_bases,
@@ -79,12 +79,20 @@ def test_rank_against_oracle_sampled(m, a):
     assert m.rank(a) == brute_rank(m, a)
 
 
-@given(st.sampled_from(CAT4), st.integers(0, 15), st.permutations(list(range(4))))
-@settings(max_examples=200)
-def test_greedy_order_never_changes_the_rank(m, a, order):
-    picked = m.max_independent(a, order=order)
-    assert m.is_independent(picked)
-    assert picked.bit_count() == m.rank(a)
+def test_greedy_extends_every_independent_start(basis_catalogs):
+    # every independent start inside a grows to a basis of a, judged by the
+    # brute-force oracle
+    for n in range(1, 5):
+        for m in basis_catalogs[n].entries:
+            for a in range(1 << n):
+                rank = brute_rank(m, a)
+                for start in submasks(a):
+                    if not brute_independent(m.circuits, start):
+                        continue
+                    picked = m.max_independent(a, start)
+                    assert picked & start == start and picked & ~a == 0
+                    assert brute_independent(m.circuits, picked)
+                    assert picked.bit_count() == rank
 
 
 def test_dual_involution_and_rank_formula(basis_catalogs):

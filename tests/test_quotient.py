@@ -18,7 +18,6 @@ from matlift.quotient import (
     base_family_witness,
     bigcyclo_check,
     certify_quotient,
-    compose_witnesses,
     cyclic_elimination,
     cyclic_extension,
     factor_homotopy,
@@ -188,32 +187,6 @@ def test_verify_pair_preconditions(u13, u23):
         verify_pair(w.n, 0, u13, u23)
     with pytest.raises(GroundMismatch):
         verify_pair(w.n, w.x_mask, mk(2, "ab"), u23)
-
-
-# -------------------------------------------------------------- composition
-
-
-def test_composed_witness_equals_direct_construction(u13, u23, f3):
-    w1 = lift_witness(u13, u23, ("x1",))
-    w2 = lift_witness(u23, f3, ("x2",))
-    combined = compose_witnesses(w1, w2)
-    direct = lift_witness(u13, f3, ("x1", "x2"))
-    assert combined.n == direct.n
-    assert combined.x_labels == ("x1", "x2")
-
-
-def test_compose_requires_matching_middle(u13, u23, f3):
-    w1 = lift_witness(u13, u23, ("x1",))
-    w_bad = lift_witness(u13, f3, ("x2", "x3"))
-    with pytest.raises(PreconditionFailure):
-        compose_witnesses(w1, w_bad)
-
-
-def test_compose_rejects_shared_labels(u13, u23, f3):
-    w1 = lift_witness(u13, u23, ("x1",))
-    w2 = lift_witness(u23, f3, ("x1",))
-    with pytest.raises(LabelClash):
-        compose_witnesses(w1, w2)
 
 
 # ------------------------------------------------------------ factorization

@@ -74,6 +74,16 @@ def test_parse_errors_carry_line_numbers(text, lineno, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "line", ["    circuit a$", "\tcircuit a$", "  circuit c a$  # note"]
+)
+def test_bad_token_column_points_into_the_raw_line(line):
+    with pytest.raises(ParseError) as exc:
+        parse_document(f"matroid x\nground a b c\n{line}\nend\n")
+    assert exc.value.line == 3
+    assert line[exc.value.column - 1:].startswith("a$")
+
+
 def test_catalog_line_round_trip():
     for m in enumerate_matroids(3).entries:
         n, rank, fam = parse_catalog_line(catalog_line(m))
@@ -122,3 +132,5 @@ def test_pair_line_round_trip():
         parse_pair_line("3;7;quotient=2;s=1;witness=ok")
     with pytest.raises(ParseError):
         parse_pair_line("3;7;quotient=1;s=1;witness=maybe")
+    with pytest.raises(ParseError):  # a failed construction writes no record
+        parse_pair_line("3;7;quotient=1;s=1;witness=FAIL")
