@@ -5,8 +5,10 @@ each other:
 
 * ``basis`` route: for every rank r, scan all non-empty families of
   r-subsets through the basis-exchange checker. Practical through n = 6.
-* ``circuit`` route: scan all families of non-empty subsets through the
-  circuit-axiom checker. Practical through n = 4 only.
+* ``circuit`` route: grow the antichains of non-empty subsets depth-first
+  and screen each through the circuit-axiom checker. Only antichains can
+  pass the clutter axiom, and there are far fewer of them than families
+  (7,580 against 2^31 at n = 5). Practical through n = 5.
 
 Both yield every labelled matroid on the ground set exactly once; catalogs
 are sorted by their canonical flat-file line so entry indices are stable.
@@ -32,7 +34,7 @@ from .sets import GroundSet, SetFamily, default_ground, fresh_labels, masks_of_s
 from .textio import catalog_line, pair_line
 
 BASIS_ENUM_CAP = 6
-CIRCUIT_ENUM_CAP = 4
+CIRCUIT_ENUM_CAP = 5
 PAIR_CATALOG_CAP = 5
 
 
@@ -121,14 +123,23 @@ def _enumerate_by_bases(g: GroundSet) -> list[Matroid]:
 
 
 def _enumerate_by_circuits(g: GroundSet) -> list[Matroid]:
-    n = len(g)
-    nonempty = SetFamily(range(1, 1 << n)).members
+    # depth-first over antichains of non-empty subsets in canonical order: a
+    # later member is never smaller, so it joins iff no chosen one is inside it
+    nonempty = SetFamily(range(1, 1 << len(g))).members
     out = []
-    for pick in range(1 << len(nonempty)):
-        family = SetFamily(nonempty[i] for i in range(len(nonempty)) if pick >> i & 1)
-        report = check_circuit_axioms(g, family)
+
+    def grow(chosen: list[int], start: int) -> None:
+        report = check_circuit_axioms(g, SetFamily(chosen))
         if report.passed:
             out.append(Matroid._from_report(report))
+        for k in range(start, len(nonempty)):
+            c = nonempty[k]
+            if all(p & ~c for p in chosen):
+                chosen.append(c)
+                grow(chosen, k + 1)
+                chosen.pop()
+
+    grow([], 0)
     return out
 
 

@@ -37,11 +37,11 @@ from .sets import GroundSet, SetFamily, bit_indices, masks_of_size
 CYCLIC_ENUM_CAP = 16
 
 # minimal_dependent_sets tests every subset and keeps a byte per subset, so it
-# and its callers (dual, from_bases, random_matroid) refuse larger ground
-# sets. The cap bounds the table (2^20 bytes) and the number of subset tests,
-# not the run time: dual and from_bases test each subset against every basis,
-# so their time grows with the basis count. The free matroid, with one basis,
-# is the cheapest case, and its dual at this size takes about 2 s.
+# and its callers (from_bases, random_matroid) refuse larger ground sets. The
+# cap bounds the table (2^20 bytes) and the number of subset tests, not the
+# run time: from_bases tests each subset against every basis, so its time
+# grows with the basis count. dual tests no subsets but keeps the cap, since
+# its basis scan visits C(n, r) masks.
 SUBSET_TABLE_CAP = 20
 
 
@@ -191,15 +191,22 @@ class Matroid:
     def dual(self) -> "Matroid":
         """Dual matroid, whose bases are the complements of this matroid's bases.
 
-        Its circuits are the minimal sets meeting every basis. No exchange
-        check runs on the complements, since duality implies it (Oxley,
-        Matroid Theory, 2nd ed., ch. 2); the constructor checks the circuits.
+        Its circuits are the cocircuits of this matroid, taken as the
+        fundamental cocircuits of the bases: for a basis B and e in B, e plus
+        every f outside B for which B - e + f is a basis. Every cocircuit is
+        one of these (Oxley, Matroid Theory, 2nd ed., sec. 2.1). No exchange
+        check runs on the complements, since duality implies it; the
+        constructor checks the circuits.
         """
         require_subset_table(self.ground)
-        bases = self.bases().members
-        return Matroid(
-            self.ground, minimal_dependent_sets(self.ground, lambda d: all(d & b for b in bases))
-        )
+        bases = set(self.bases().members)
+        cocircuits = set()
+        for b in bases:
+            outside = [1 << f for f in bit_indices(self.ground.full_mask & ~b)]
+            for e in bit_indices(b):
+                rest = b & ~(1 << e)
+                cocircuits.add(sum((f for f in outside if rest | f in bases), 1 << e))
+        return Matroid(self.ground, cocircuits)
 
     # ------------------------------------------------- fundamental circuits
 
@@ -330,8 +337,8 @@ def minimal_dependent_sets(ground: GroundSet, dependent: Callable[[int], bool]) 
 
 
 def require_subset_table(ground: GroundSet) -> None:
-    """Raise GroundTooLarge when ``minimal_dependent_sets`` would exceed its cap."""
+    """Raise GroundTooLarge above ``SUBSET_TABLE_CAP`` elements."""
     if len(ground) > SUBSET_TABLE_CAP:
         raise GroundTooLarge(
-            f"{len(ground)} elements: subset tables handle at most {SUBSET_TABLE_CAP}"
+            f"{len(ground)} elements: subset and basis scans handle at most {SUBSET_TABLE_CAP}"
         )

@@ -41,8 +41,8 @@ def basis_catalogs():
 
 @pytest.fixture(scope="session")
 def circuit_catalogs():
-    """All labelled matroids on 1..4 elements, circuit route."""
-    return {n: enumerate_matroids(n, "circuit") for n in range(1, 5)}
+    """All labelled matroids on 1..5 elements, circuit route."""
+    return {n: enumerate_matroids(n, "circuit") for n in range(1, 6)}
 
 
 @pytest.fixture

@@ -52,6 +52,19 @@ def brute_bases(m: Matroid) -> list[int]:
     return out
 
 
+def brute_dual(m: Matroid) -> SetFamily:
+    """Circuits of the dual: the minimal sets meeting every basis, found by
+    scanning subsets from the smallest up."""
+    bases = brute_bases(m)
+    found: list[int] = []
+    for k in range(1, len(m.ground) + 1):
+        for combo in combinations(range(len(m.ground)), k):
+            mask = sum(1 << i for i in combo)
+            if all(mask & b for b in bases) and all(c & ~mask for c in found):
+                found.append(mask)
+    return SetFamily(found)
+
+
 def brute_closure(m: Matroid, a: int) -> int:
     """Span of a: a plus every element not raising the rank."""
     r = brute_rank(m, a)

@@ -10,6 +10,7 @@ from itertools import permutations
 
 import pytest
 
+from matlift.axioms import check_circuit_axioms
 from matlift.enumeration import (
     enumerate_matroids,
     lift_buckets,
@@ -34,12 +35,28 @@ def test_basis_route_counts(basis_catalogs):
 
 
 def test_circuit_route_counts(circuit_catalogs):
-    for n in range(1, 5):
+    for n in range(1, 6):
         assert len(circuit_catalogs[n]) == KNOWN_COUNTS[n]
 
 
+def test_circuit_route_checks_only_antichains(monkeypatch):
+    # the antichains of non-empty subsets, the empty family included, number
+    # the Dedekind numbers minus one (OEIS A000372)
+    checked = []
+
+    def counting(ground, family, strong=False):
+        checked.append(family)
+        return check_circuit_axioms(ground, family, strong)
+
+    monkeypatch.setattr("matlift.enumeration.check_circuit_axioms", counting)
+    for n, want in zip(range(1, 6), (2, 5, 19, 167, 7580)):
+        checked.clear()
+        enumerate_matroids(n, "circuit")
+        assert len(checked) == len(set(checked)) == want
+
+
 def test_routes_agree(basis_catalogs, circuit_catalogs):
-    for n in range(1, 5):
+    for n in range(1, 6):
         assert [m.circuits for m in basis_catalogs[n].entries] == [
             m.circuits for m in circuit_catalogs[n].entries
         ]
@@ -57,7 +74,7 @@ def test_enumeration_caps():
     with pytest.raises(GroundTooLarge):
         enumerate_matroids(7, "basis")
     with pytest.raises(GroundTooLarge):
-        enumerate_matroids(5, "circuit")
+        enumerate_matroids(6, "circuit")
     with pytest.raises(ValueError):
         enumerate_matroids(3, "magic")
     with pytest.raises(GroundTooLarge):

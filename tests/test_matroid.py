@@ -34,6 +34,7 @@ from helpers import (
     brute_bases,
     brute_cyclic_sets,
     brute_cyclic_sets_by_nullity,
+    brute_dual,
     brute_independent,
     brute_rank,
     mk,
@@ -108,6 +109,14 @@ def test_dual_bases_are_complements(basis_catalogs):
         for m in basis_catalogs[n].entries:
             full = m.ground.full_mask
             assert sorted(b ^ full for b in brute_bases(m)) == sorted(brute_bases(m.dual()))
+
+
+def test_dual_against_oracle_past_the_catalogs():
+    g = default_ground(8)
+    rng = random.Random(19)
+    draws = [random_matroid(rng, 6 + k % 5) for k in range(200)]
+    for m in draws + [uniform_matroid(g, 0), free_matroid(g)]:
+        assert m.dual().circuits == brute_dual(m)
 
 
 def test_minimal_dependent_sets_are_the_circuits(basis_catalogs):
