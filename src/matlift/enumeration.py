@@ -28,7 +28,7 @@ from typing import Union
 from . import quotient as _quotient
 from .axioms import check_circuit_axioms
 from .errors import ExchangeFailure, GroundTooLarge
-from .matroid import Matroid, minimal_dependent_sets, require_subset_table
+from .matroid import Matroid, circuits_of_bases, require_subset_table
 from .minors import contract, delete
 from .sets import GroundSet, SetFamily, default_ground, fresh_labels, masks_of_size
 from .textio import catalog_line, pair_line
@@ -43,7 +43,6 @@ class MatroidCatalog:
     """Every labelled matroid on one ground set, in stable order."""
 
     ground: GroundSet
-    method: str
     entries: tuple[Matroid, ...]
 
     def __len__(self) -> int:
@@ -103,7 +102,7 @@ def enumerate_matroids(ground: Union[GroundSet, int], method: str = "basis") -> 
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
     entries.sort(key=catalog_line)
-    return MatroidCatalog(g, method, tuple(entries))
+    return MatroidCatalog(g, tuple(entries))
 
 
 def _enumerate_by_bases(g: GroundSet) -> list[Matroid]:
@@ -224,15 +223,13 @@ def random_matroid(rng: random.Random, ground: Union[GroundSet, int]) -> Matroid
     q = rng.choice((2, 3, 5))
     r = rng.randint(0, n)
     cols = [tuple(rng.randrange(q) for _ in range(r)) for _ in range(n)]
-    # echelon rows (pivot, row) spanning the columns of each independent mask
+    # echelon rows (pivot, row) spanning the columns of each independent mask;
+    # masks go in ascending order, so the mask minus its lowest bit is settled
     echelon: dict[int, list[tuple[int, list[int]]]] = {0: []}
-
-    def dependent(mask: int) -> bool:
-        # masks arrive in ascending order, so the mask minus its lowest bit
-        # is settled: absent from ``echelon`` when dependent
+    for mask in range(1, g.full_mask + 1):
         rest = mask & (mask - 1)
         if rest not in echelon:
-            return True
+            continue
         v = list(cols[(mask ^ rest).bit_length() - 1])
         for pivot, row in echelon[rest]:
             if f := v[pivot]:
@@ -241,9 +238,9 @@ def random_matroid(rng: random.Random, ground: Union[GroundSet, int]) -> Matroid
         if pivot is not None:
             inv = pow(v[pivot], -1, q)
             echelon[mask] = echelon[rest] + [(pivot, [a * inv % q for a in v])]
-        return pivot is None
-
-    return Matroid(g, minimal_dependent_sets(g, dependent))
+    rank = max(mask.bit_count() for mask in echelon)
+    bases = [mask for mask in echelon if mask.bit_count() == rank]
+    return Matroid(g, circuits_of_bases(g, bases))
 
 
 def random_quotient_pair(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .axioms import AxiomReport, check_basis_exchange, check_circuit_axioms
 from .errors import (
@@ -36,12 +36,10 @@ from .sets import GroundSet, SetFamily, bit_indices, masks_of_size
 # many elements; callers must pass a nullity filter or test sets pointwise.
 CYCLIC_ENUM_CAP = 16
 
-# minimal_dependent_sets tests every subset and keeps a byte per subset, so it
-# and its callers (from_bases, random_matroid) refuse larger ground sets. The
-# cap bounds the table (2^20 bytes) and the number of subset tests, not the
-# run time: from_bases tests each subset against every basis, so its time
-# grows with the basis count. dual tests no subsets but keeps the cap, since
-# its basis scan visits C(n, r) masks.
+# The cap bounds dual's basis scan, which visits C(n, r) masks, and
+# random_matroid's echelon table over the 2^n subsets; both refuse larger
+# ground sets before any work. Nothing keeps a byte per subset, and
+# from_bases reads its circuits off the given bases, so it takes no cap.
 SUBSET_TABLE_CAP = 20
 
 
@@ -108,9 +106,9 @@ class Matroid:
     def from_bases(cls, ground: GroundSet, bases: SetFamily | Iterable[int]) -> "Matroid":
         """Build a matroid from its bases (checked for the exchange axiom).
 
-        Circuits are the minimal sets inside no basis.
+        The circuits are read off the bases by ``circuits_of_bases``, so no
+        subset is scanned and every ground size is accepted.
         """
-        require_subset_table(ground)
         fam = bases if isinstance(bases, SetFamily) else SetFamily(bases)
         report = check_basis_exchange(ground, fam)
         if not report.passed:
@@ -123,8 +121,7 @@ class Matroid:
                     f"{ground.format_mask(v.witness[1])} differ in size"
                 )
             raise ExchangeFailure(*v.witness)
-        bases = fam.members
-        return cls(ground, minimal_dependent_sets(ground, lambda d: all(d & ~b for b in bases)))
+        return cls(ground, circuits_of_bases(ground, fam.members))
 
     # ------------------------------------------------------------- equality
 
@@ -191,22 +188,15 @@ class Matroid:
     def dual(self) -> "Matroid":
         """Dual matroid, whose bases are the complements of this matroid's bases.
 
-        Its circuits are the cocircuits of this matroid, taken as the
-        fundamental cocircuits of the bases: for a basis B and e in B, e plus
-        every f outside B for which B - e + f is a basis. Every cocircuit is
-        one of these (Oxley, Matroid Theory, 2nd ed., sec. 2.1). No exchange
-        check runs on the complements, since duality implies it; the
-        constructor checks the circuits.
+        Its circuits are read off those complements by ``circuits_of_bases``.
+        No exchange check runs on the complements, since duality implies it;
+        the constructor checks the circuits. The basis scan visits C(n, r)
+        masks, so ground sets above ``SUBSET_TABLE_CAP`` are refused first.
         """
         require_subset_table(self.ground)
-        bases = set(self.bases().members)
-        cocircuits = set()
-        for b in bases:
-            outside = [1 << f for f in bit_indices(self.ground.full_mask & ~b)]
-            for e in bit_indices(b):
-                rest = b & ~(1 << e)
-                cocircuits.add(sum((f for f in outside if rest | f in bases), 1 << e))
-        return Matroid(self.ground, cocircuits)
+        full = self.ground.full_mask
+        complements = [full & ~b for b in self.bases()]
+        return Matroid(self.ground, circuits_of_bases(self.ground, complements))
 
     # ------------------------------------------------- fundamental circuits
 
@@ -290,14 +280,6 @@ class Matroid:
 
     # ---------------------------------------------------------- conveniences
 
-    def loops(self) -> int:
-        """Mask of loop elements (single-element circuits)."""
-        out = 0
-        for c in self.circuits:
-            if c.bit_count() == 1:
-                out |= c
-        return out
-
     def restriction_circuits(self, a: int) -> SetFamily:
         """Circuits contained in ``a``."""
         self.ground.check_mask(a)
@@ -319,20 +301,21 @@ def uniform_matroid(ground: GroundSet, rank: int) -> Matroid:
     return Matroid(ground, masks_of_size(n, rank + 1))
 
 
-def minimal_dependent_sets(ground: GroundSet, dependent: Callable[[int], bool]) -> list[int]:
-    """Minimal sets that the upward-closed test ``dependent`` accepts, ascending.
+def circuits_of_bases(ground: GroundSet, bases: Iterable[int]) -> set[int]:
+    """The circuits of the matroid with these bases, as fundamental circuits.
 
-    ``dependent`` is called once per non-empty subset, in ascending mask
-    order; its answers are kept, so one-smaller subsets are looked up.
+    For a basis B and e outside B, the unique circuit inside B + e is e plus
+    every f in B for which B - f + e is a basis, and every circuit is one of
+    these (Oxley, Matroid Theory, 2nd ed.). ``bases`` must satisfy the
+    exchange axiom; nothing here checks it.
     """
-    require_subset_table(ground)
-    dep = bytearray(ground.full_mask + 1)
-    out = []
-    for mask in range(1, ground.full_mask + 1):
-        if dependent(mask):
-            dep[mask] = 1
-            if not any(dep[mask & ~(1 << i)] for i in bit_indices(mask)):
-                out.append(mask)
+    bases = set(bases)
+    out = set()
+    for b in bases:
+        inside = [1 << f for f in bit_indices(b)]
+        for e in bit_indices(ground.full_mask & ~b):
+            grown = b | (1 << e)
+            out.add(sum((f for f in inside if grown ^ f in bases), 1 << e))
     return out
 
 

@@ -19,7 +19,7 @@ from .errors import DuplicateLabel, GroundTooLarge, InvalidGroundSet, UnknownLab
 # this large; operations that scan all subsets have their own smaller caps.
 MAX_GROUND_SIZE = 24
 
-_LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 _ALPHABET = "abcdefghijklmnopqrstuvwx"
 
@@ -88,7 +88,7 @@ class GroundSet:
             )
         index: dict[str, int] = {}
         for i, lab in enumerate(labels):
-            if not isinstance(lab, str) or not _LABEL_RE.fullmatch(lab):
+            if not isinstance(lab, str) or not LABEL_RE.fullmatch(lab):
                 raise InvalidGroundSet(f"bad element label {lab!r}")
             if lab in index:
                 raise DuplicateLabel(f"duplicate element label {lab!r}")
@@ -97,10 +97,6 @@ class GroundSet:
         self._index = index
 
     # -- basics
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -31,9 +31,7 @@ from typing import Iterable, Optional
 
 from .errors import ParseError
 from .matroid import Matroid
-from .sets import GroundSet, SetFamily, bit_indices
-
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+from .sets import LABEL_RE, GroundSet, SetFamily, bit_indices, default_ground
 
 
 @dataclass
@@ -54,7 +52,7 @@ def _tokens(code: str, lineno: int) -> list[str]:
     word raises ParseError with its 1-based column in that line."""
     words = list(re.finditer(r"\S+", code))
     for w in words[1:]:
-        if not _TOKEN_RE.fullmatch(w.group()):
+        if not LABEL_RE.fullmatch(w.group()):
             raise ParseError(f"bad token {w.group()!r}", lineno, w.start() + 1)
     return [w.group() for w in words]
 
@@ -184,24 +182,19 @@ def write_catalog(entries: Iterable[Matroid], path: str) -> int:
     return count
 
 
-def read_catalog(path: str, ground: Optional[GroundSet] = None) -> list[Matroid]:
+def read_catalog(path: str) -> list[Matroid]:
     """Read a catalog file back into validated matroids.
 
-    Entries are rebuilt on ``ground`` (default: letter labels), so a round
-    trip through disk preserves circuit families exactly.
+    Entries are rebuilt on letter labels, so a round trip through disk
+    preserves circuit families exactly.
     """
-    from .sets import default_ground
-
     out = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             n, rank, fam = parse_catalog_line(line, lineno)
-            g = ground if ground is not None else default_ground(n)
-            if len(g) != n:
-                raise ParseError(f"entry has n={n}, expected {len(g)}", lineno)
-            m = Matroid(g, fam)
+            m = Matroid(default_ground(n), fam)
             if m.rank() != rank:
                 raise ParseError(f"stored rank {rank} != computed {m.rank()}", lineno)
             out.append(m)

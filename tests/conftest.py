@@ -1,4 +1,9 @@
 import sys
+
+# no bytecode from the package or the test helpers: a test run leaves the
+# source tree as it found it
+sys.dont_write_bytecode = True
+
 from pathlib import Path
 
 import pytest

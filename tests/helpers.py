@@ -52,17 +52,22 @@ def brute_bases(m: Matroid) -> list[int]:
     return out
 
 
-def brute_dual(m: Matroid) -> SetFamily:
-    """Circuits of the dual: the minimal sets meeting every basis, found by
-    scanning subsets from the smallest up."""
-    bases = brute_bases(m)
+def brute_minimal_dependent(n: int, dependent) -> SetFamily:
+    """The minimal subsets of range(n) that the upward-closed test
+    ``dependent`` accepts, found by scanning subsets from the smallest up."""
     found: list[int] = []
-    for k in range(1, len(m.ground) + 1):
-        for combo in combinations(range(len(m.ground)), k):
+    for k in range(1, n + 1):
+        for combo in combinations(range(n), k):
             mask = sum(1 << i for i in combo)
-            if all(mask & b for b in bases) and all(c & ~mask for c in found):
+            if all(c & ~mask for c in found) and dependent(mask):
                 found.append(mask)
     return SetFamily(found)
+
+
+def brute_dual(m: Matroid) -> SetFamily:
+    """Circuits of the dual: the minimal sets meeting every basis."""
+    bases = brute_bases(m)
+    return brute_minimal_dependent(len(m.ground), lambda a: all(a & b for b in bases))
 
 
 def brute_closure(m: Matroid, a: int) -> int:

@@ -228,7 +228,7 @@ def test_parser_is_reused_without_leaking_options(files, capsys):
 
 def test_console_script_entry():
     proc = subprocess.run(
-        [sys.executable, "-m", "matlift", "--help"],
+        [sys.executable, "-B", "-m", "matlift", "--help"],
         capture_output=True,
         text=True,
     )

@@ -19,12 +19,11 @@ from matlift.enumeration import (
     random_quotient_pair,
 )
 from matlift.errors import GroundTooLarge
-from matlift.matroid import minimal_dependent_sets
 from matlift.quotient import certify_quotient, lift_witness
 from matlift.sets import SetFamily, fresh_labels
 from matlift.textio import parse_pair_line
 
-from helpers import gf_rank
+from helpers import brute_minimal_dependent, gf_rank
 
 KNOWN_COUNTS = {1: 2, 2: 5, 3: 16, 4: 68, 5: 406}
 
@@ -219,7 +218,7 @@ def test_random_matroids_match_full_elimination():
             chosen = [cols[i] for i in range(n) if mask >> i & 1]
             return gf_rank(chosen, q) < len(chosen)
 
-        assert m.circuits == SetFamily(minimal_dependent_sets(m.ground, dependent))
+        assert m.circuits == brute_minimal_dependent(n, dependent)
         assert rng.getstate() == replay.getstate()
 
 

@@ -25,7 +25,6 @@ from matlift.matroid import (
     SUBSET_TABLE_CAP,
     Matroid,
     free_matroid,
-    minimal_dependent_sets,
     uniform_matroid,
 )
 from matlift.sets import GroundSet, SetFamily, default_ground, submasks
@@ -111,18 +110,17 @@ def test_dual_bases_are_complements(basis_catalogs):
             assert sorted(b ^ full for b in brute_bases(m)) == sorted(brute_bases(m.dual()))
 
 
-def test_dual_against_oracle_past_the_catalogs():
-    g = default_ground(8)
+@pytest.fixture(scope="module")
+def draws():
+    """200 seeded random matroids on 6-10 elements, past the catalogs."""
     rng = random.Random(19)
-    draws = [random_matroid(rng, 6 + k % 5) for k in range(200)]
+    return [random_matroid(rng, 6 + k % 5) for k in range(200)]
+
+
+def test_dual_against_oracle_past_the_catalogs(draws):
+    g = default_ground(8)
     for m in draws + [uniform_matroid(g, 0), free_matroid(g)]:
         assert m.dual().circuits == brute_dual(m)
-
-
-def test_minimal_dependent_sets_are_the_circuits(basis_catalogs):
-    for n in range(1, 5):
-        for m in basis_catalogs[n].entries:
-            assert minimal_dependent_sets(m.ground, m.is_dependent) == sorted(m.circuits)
 
 
 def test_bases_against_oracle():
@@ -222,13 +220,8 @@ def test_subset_tables_refuse_large_grounds(monkeypatch):
         raise AssertionError("the cap must be checked before any work starts")
 
     monkeypatch.setattr(Matroid, "bases", no_work)
-    monkeypatch.setattr("matlift.matroid.check_basis_exchange", no_work)
     with pytest.raises(GroundTooLarge):
         f.dual()
-    with pytest.raises(GroundTooLarge):
-        Matroid.from_bases(g, [g.full_mask])
-    with pytest.raises(GroundTooLarge):
-        minimal_dependent_sets(g, no_work)
     rng = random.Random(1)
     state = rng.getstate()
     with pytest.raises(GroundTooLarge):
@@ -237,17 +230,21 @@ def test_subset_tables_refuse_large_grounds(monkeypatch):
 
 
 def test_loops_and_nullity(loops2):
-    assert loops2.loops() == 0b11
     assert loops2.rank() == 0
     assert loops2.nullity(0b11) == 2
 
 
-def test_from_bases_round_trip():
-    for m in enumerate_matroids(3).entries:
-        rebuilt = Matroid.from_bases(m.ground, m.bases())
-        assert rebuilt == m
+def test_from_bases_round_trip(basis_catalogs, draws):
+    for m in [m for n in range(1, 6) for m in basis_catalogs[n].entries] + draws:
+        assert Matroid.from_bases(m.ground, brute_bases(m)) == m
     with pytest.raises(ExchangeFailure):
         Matroid.from_bases(default_ground(4), [0b0011, 0b1100])
+
+
+def test_from_bases_takes_the_largest_grounds():
+    g = GroundSet(tuple(f"e{i}" for i in range(24)))
+    assert Matroid.from_bases(g, [g.full_mask]) == free_matroid(g)
+    assert Matroid.from_bases(g, [0]) == uniform_matroid(g, 0)
 
 
 def test_uniform_and_free_constructors():
