@@ -11,8 +11,8 @@ non-empty set of new elements, and nullity(A) + |Z| = s + 1.
 The construction is checked, not trusted: the candidate family must pass the
 strong circuit axioms and both minors must come back equal to the operands,
 otherwise ConstructionFailure carries a replayable dump. factor_homotopy
-reads single-step quotients off a verified witness, one per new element;
-the chain ends are the operands, which the witness verified as its minors.
+builds single-step quotients from the closed-form stage families without N
+(the Higgs factorization), or reads them off a verified witness if given one.
 
 The checked statements (span witness, cyclic extension and elimination, the
 rooted base family, the high-nullity dependence check) power the sweep
@@ -39,7 +39,9 @@ from .errors import (
 )
 from .matroid import FundamentalFamily, Matroid
 from .minors import contract, delete
-from .sets import SetFamily, bit_indices, fresh_labels, masks_of_size, minimal_members, submasks
+from .sets import (
+    GroundSet, SetFamily, bit_indices, fresh_labels, masks_of_size, minimal_members, submasks,
+)
 from .textio import serialize_matroid_text
 
 
@@ -169,15 +171,10 @@ def _dump(m: Matroid, l: Matroid, labels: Sequence[str], extra: str = "") -> str
     return "\n".join(parts)
 
 
-def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness:
-    """Construct and verify the extension matroid for a certified pair.
-
-    Requires rank step s >= 1 and exactly s fresh labels. Raises
-    QuotientViolation when certification fails, RankMismatch on a label-count
-    or zero-step mismatch, LabelClash on label collisions, and
-    ConstructionFailure (with a replayable dump) if any verification step
-    fails, which would contradict the existence theorem this implements.
-    """
+def _lift_inputs(
+    m: Matroid, l: Matroid, x_labels: Sequence[str]
+) -> tuple[QuotientCertificate, tuple[str, ...], GroundSet]:
+    """Certificate, labels and extended ground; raises what lift_witness documents."""
     outcome = _certified(m, l)
     s = outcome.step_s
     if s < 1:
@@ -190,7 +187,20 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
     clash = set(labels) & set(m.ground.labels)
     if clash:
         raise LabelClash(f"lift labels {sorted(clash)} already in the ground set")
-    big = m.ground.extend(labels)
+    return outcome, labels, m.ground.extend(labels)  # InvalidGroundSet on a bad label
+
+
+def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness:
+    """Construct and verify the extension matroid for a certified pair.
+
+    Requires rank step s >= 1 and exactly s fresh labels. Raises
+    QuotientViolation when certification fails, RankMismatch on a label-count
+    or zero-step mismatch, LabelClash on label collisions, InvalidGroundSet on
+    a bad label, and ConstructionFailure (with a replayable dump) if any
+    verification step fails, which would contradict the existence theorem.
+    """
+    outcome, labels, big = _lift_inputs(m, l, x_labels)
+    s = outcome.step_s
     e_size = len(m.ground)
 
     x_members = []
@@ -286,25 +296,26 @@ def factor_homotopy(
 ) -> HomotopySequence:
     """Split a certified pair into elementary quotient steps.
 
-    Builds (or reuses) the lift witness N and reads the chain off it: the
-    ends are m and l, which the witness verified as N's minors, and middle
-    stage i deletes the first i new elements of N and contracts the rest.
-    Every stage must gain one rank and every consecutive pair must certify;
-    any violation raises FactorizationFailure.
-
-    A prebuilt ``witness`` for the same operands may be supplied; its labels
-    must be ``x_labels`` up to order, which then only fixes the processing order.
+    The ends are m and l. Without a ``witness``, no N is built: the labels
+    are checked as ``lift_witness`` checks them, and middle stage i, of rank
+    min(r_l(A), r_m(A) + i), is the closed-form family at i + 1 built through
+    the checking constructor. A ``witness`` for the same operands, its labels
+    ``x_labels`` up to order, supplies middle stage i instead: N minus the
+    first i new elements, contracted by the rest. Every stage must gain one
+    rank and consecutive stages must certify, else FactorizationFailure.
     """
     labels = tuple(x_labels)
+    k = len(labels)
     if witness is None:
-        witness = lift_witness(m, l, labels)
+        _lift_inputs(m, l, labels)
+        middle = [Matroid(m.ground, _remark_family(m, l, i + 1)) for i in range(1, k)]
     elif witness.m != m or witness.l != l:
         raise PreconditionFailure("witness endpoints do not match the operands")
     elif sorted(witness.x_labels) != sorted(labels):
         raise PreconditionFailure("witness labels do not match the given order")
-    mask_of = witness.n.ground.mask_of
-    k = len(labels)
-    middle = [_stage(witness, mask_of(labels[:i])) for i in range(1, k)]
+    else:
+        mask_of = witness.n.ground.mask_of
+        middle = [_stage(witness, mask_of(labels[:i])) for i in range(1, k)]
     steps = (m, *middle, l)
     base = m.rank()
     for i, stage in enumerate(steps):
@@ -384,19 +395,20 @@ class RemarkRow:
 def remark_comparison(
     m: Matroid, l: Matroid, witness: Optional[LiftWitness] = None
 ) -> list[RemarkRow]:
-    """Compare both index readings of the closed form with the factor chain.
+    """Compare N's minors with the closed-form route of ``factor_homotopy``.
 
-    For every stage i the circuits of the i-th chain matroid, whose ends are
-    m and l, are compared against the closed-form family at index i+1 (the
-    shifted reading) and at index i (the literal reading). Nothing is
-    asserted here; callers decide what agreement to require. A prebuilt
-    ``witness`` for (m, l) supplies the chain and its certificate the step.
+    The chain is read off the lift witness N, ``witness`` or one built here.
+    For every stage i its circuits are compared against the closed-form
+    family at index i+1 (the shifted reading, the one ``factor_homotopy``
+    builds without a witness) and at index i (the literal reading). Nothing
+    is asserted here; callers decide what agreement to require.
     """
     s = (witness.certificate if witness else _certified(m, l)).step_s
     if s < 1:
         raise RankMismatch("comparison needs rank step >= 1")
-    labels = witness.x_labels if witness else fresh_labels(m.ground, s)
-    chain = factor_homotopy(m, l, labels, witness=witness)
+    if witness is None:
+        witness = lift_witness(m, l, fresh_labels(m.ground, s))
+    chain = factor_homotopy(m, l, witness.x_labels, witness=witness)
     families = [_remark_family(m, l, j) for j in range(s + 2)]
     rows = []
     for i, stage in enumerate(chain.steps):

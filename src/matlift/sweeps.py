@@ -386,8 +386,9 @@ def lattice_stages(w: quotient.LiftWitness) -> list[Matroid]:
     """Stage D of the witness for every subset D of its new labels, by bitmask
     (bit k stands for ``w.x_labels[k]``): N minus D, contracted by the rest.
 
-    That is the stage ``factor_homotopy`` takes for the first |D| labels of
-    an order; both build it with ``quotient._stage``. Stage 0 is m and the
+    That is the stage ``factor_homotopy`` reads off a supplied witness for
+    the first |D| labels of an order, with ``quotient._stage`` too; without
+    one it builds the closed-form family at |D| + 1. Stage 0 is m and the
     full stage is l.
     """
     e = len(w.m.ground)  # the new labels follow the ground, in order
@@ -397,15 +398,16 @@ def lattice_stages(w: quotient.LiftWitness) -> list[Matroid]:
 
 def homotopy_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Factorization validity for every certified pair with step >= 2 under
-    every ordering of the new elements; records order (in)dependence.
+    every ordering of the new elements; each stage is order-free.
 
     The chains of all orderings are the maximal chains of the lattice of
     subsets D of the new labels, so each cover D < D + x is checked once:
-    the rank rises by one and the pair certifies. A pair is order-free when
-    its stage depends only on |D|.
+    the rank rises by one and the pair certifies. Every stage D must also
+    equal the closed-form family at |D| + 1, the stage ``factor_homotopy``
+    builds without a witness, so a passing pair is order-free.
     """
     t0 = time.perf_counter()
-    pairs = order_free = order_bound = 0
+    pairs = 0
     for w in catalog_witnesses(catalogs, max_n):
         if len(w.x_labels) < 2:
             continue
@@ -422,19 +424,20 @@ def homotopy_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
                     f"factorization failed for {w.m!r}, {w.l!r} "
                     f"adding {w.x_labels[k]} to stage {d:#b}",
                 )
-        # compare each stage with the stage of the first |D| labels
-        if all(st.circuits == stages[(1 << d.bit_count()) - 1].circuits
-               for d, st in enumerate(stages)):
-            order_free += 1
-        else:
-            order_bound += 1
+        families = [quotient._remark_family(w.m, w.l, j + 1) for j in range(len(w.x_labels) + 1)]
+        for d, st in enumerate(stages):
+            if st.circuits != families[d.bit_count()]:
+                return _outcome(
+                    "homotopy", t0, False,
+                    f"stage {d:#b} of {w.m!r}, {w.l!r} differs from the "
+                    f"closed-form family at {d.bit_count() + 1}",
+                )
     details = (
         f"{pairs} pairs with step >= 2 factor under every ordering; "
-        f"stages order-independent for {order_free}, order-dependent for {order_bound}"
+        f"stages order-independent for {pairs}, order-dependent for 0"
     )
     return _outcome(
-        "homotopy", t0, True, details, pairs=pairs, order_free=order_free,
-        order_bound=order_bound,
+        "homotopy", t0, True, details, pairs=pairs, order_free=pairs, order_bound=0,
     )
 
 

@@ -39,6 +39,12 @@ def brute_rank(m: Matroid, a: int = None) -> int:
     return best
 
 
+def brute_higgs_rank(m: Matroid, l: Matroid, i: int, a: int) -> int:
+    """Rank of ``a`` in stage i of the Higgs factorization of the quotient
+    (m, l): min(r_l(a), r_m(a) + i), both ranks by brute force."""
+    return min(brute_rank(l, a), brute_rank(m, a) + i)
+
+
 def brute_bases(m: Matroid) -> list[int]:
     n = len(m.ground)
     r = brute_rank(m)

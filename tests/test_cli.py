@@ -97,6 +97,20 @@ def test_factor_stages(files, tmp_path, capsys):
     assert stage1.circuits.members == (0b111,)
 
 
+@pytest.mark.parametrize("m, l, labels, code, message", [
+    ("u23", "u13", "x", 1, "FAIL: quotient fails"),
+    ("u13", "f3", "x", 2, "rank step is 2 but 1 labels were given"),
+    ("u13", "f3", "a,x", 2, "lift labels ['a'] already in the ground set"),
+    ("u13", "f3", "x,x", 2, "repeated lift labels"),
+    ("u13", "u13", "x", 2, "needs rank step >= 1, got 0"),
+    ("u13", "u23", "x-1", 2, "bad element label 'x-1'"),
+])
+def test_factor_failure_modes(files, capsys, m, l, labels, code, message):
+    assert run_command(["factor", files[m], files[l], "--labels", labels]) == code
+    out, err = capsys.readouterr()
+    assert message in (out if code == 1 else err)
+
+
 def test_verify_pair_round_trip(files, tmp_path, capsys):
     w_path = tmp_path / "w.txt"
     run_command(["lift", files["u13"], files["u23"], "--labels", "x"])

@@ -1,10 +1,13 @@
 """Certification, witness construction, factorization, stage families,
 and the per-matroid checked statements, on hand-worked instances."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
 
+from matlift import quotient
+from matlift.enumeration import random_quotient_pair
 from matlift.errors import (
     ConstructionFailure,
     GroundMismatch,
@@ -29,11 +32,17 @@ from matlift.quotient import (
 )
 from matlift.matroid import Matroid
 from matlift.minors import contract, delete
-from matlift.sets import SetFamily
+from matlift.sets import SetFamily, fresh_labels
 from matlift.textio import parse_matroid_text
-from matlift.sweeps import catalog_witnesses, lattice_stages
+from matlift.sweeps import catalog_witnesses, homotopy_sweep, lattice_stages
 
-from helpers import brute_cyclic_sets_by_nullity, brute_independent, mk
+from helpers import (
+    brute_cyclic_sets_by_nullity,
+    brute_higgs_rank,
+    brute_independent,
+    brute_rank,
+    mk,
+)
 
 
 # --------------------------------------------------------------- certifying
@@ -243,6 +252,59 @@ def test_factor_stages_are_witness_minors(basis_catalogs):
                 assert stage == stages[sum(1 << w.x_labels.index(x) for x in order[:i])]
 
 
+def test_factor_without_a_witness_builds_none(u13, u23, f3, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lift_witness called")
+
+    monkeypatch.setattr(quotient, "lift_witness", refuse)
+    assert factor_homotopy(u13, f3, ("x2", "x1")).steps == (u13, u23, f3)
+
+
+def test_formula_route_equals_witness_route_on_the_catalogs(basis_catalogs):
+    # every n <= 4 witness under every label order
+    chains = 0
+    for w in catalog_witnesses(basis_catalogs, 4):
+        for order in permutations(w.x_labels):
+            formula = factor_homotopy(w.m, w.l, order)
+            assert formula.steps == factor_homotopy(w.m, w.l, order, witness=w).steps
+            chains += 1
+    assert chains == 931
+
+
+def test_formula_route_is_the_higgs_factorization_on_random_pairs():
+    # stage i has rank min(r_L(A), r_M(A) + i) on every A, and both routes
+    # give the same chain
+    rng = random.Random(20261018)
+    lifted = middle = 0
+    for k in range(24):
+        m, l = random_quotient_pair(rng, 6 + k % 2, 1 + k % 3)
+        s = l.rank() - m.rank()
+        if s < 1:
+            continue
+        lifted += 1
+        labels = fresh_labels(m.ground, s)
+        chain = factor_homotopy(m, l, labels)
+        w = lift_witness(m, l, labels)
+        assert chain.steps == factor_homotopy(m, l, labels[::-1], witness=w).steps
+        for i, stage in enumerate(chain.steps[1:-1], start=1):
+            middle += 1
+            for a in range(1 << len(m.ground)):
+                assert brute_rank(stage, a) == brute_higgs_rank(m, l, i, a)
+    assert (lifted, middle) == (17, 15)
+
+
+def test_homotopy_sweep_fails_on_a_stage_off_the_closed_form(basis_catalogs, monkeypatch):
+    family = quotient._remark_family
+
+    def skewed(m, l, j):
+        return SetFamily() if j == 2 else family(m, l, j)
+
+    monkeypatch.setattr(quotient, "_remark_family", skewed)
+    out = homotopy_sweep(3, basis_catalogs)
+    assert not out.ok
+    assert "stage 0b1 of" in out.details and "closed-form family at 2" in out.details
+
+
 # ----------------------------------------------------------- stage families
 
 
@@ -297,6 +359,16 @@ def test_remark_comparison_rows_are_the_closed_forms(basis_catalogs, u13, u23):
         remark_comparison(u13, u13)
     with pytest.raises(QuotientViolation):
         remark_comparison(u23, u13)
+
+
+def test_remark_comparison_reads_the_witness_route(u13, f3, monkeypatch):
+    # without a witness it still compares N's minors with the closed form,
+    # not the closed-form route of factor_homotopy with itself
+    reads = []
+    stage = quotient._stage
+    monkeypatch.setattr(quotient, "_stage", lambda w, d: reads.append(d) or stage(w, d))
+    rows = remark_comparison(u13, f3)
+    assert reads and all(row.shifted_agrees for row in rows)
 
 
 # ----------------------------------------------------- checked statements
