@@ -23,12 +23,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 from . import quotient as _quotient
 from .axioms import check_circuit_axioms
 from .errors import ExchangeFailure, GroundTooLarge
-from .matroid import Matroid, circuits_of_bases, require_subset_table
+from .matroid import Matroid, require_subset_table
 from .minors import contract, delete
 from .sets import GroundSet, SetFamily, default_ground, fresh_labels, masks_of_size
 from .textio import catalog_line, pair_line
@@ -216,6 +216,12 @@ def random_matroid(rng: random.Random, ground: Union[GroundSet, int]) -> Matroid
     """Column matroid of a uniform random matrix over GF(2), GF(3), or GF(5).
 
     Raises GroundTooLarge above ``SUBSET_TABLE_CAP`` elements before drawing.
+    The circuits are read off a walk over the bases. In the frame of a basis
+    B, column e holds the coordinates of e over B, so the fundamental circuit
+    of e outside B is e plus the basis elements where the column is non-zero,
+    and each of those f gives the neighbour B - f + e, one pivot away. The
+    walk starts at the greedy basis and reaches every basis, so every circuit
+    is read (each one is a fundamental circuit of some basis).
     """
     g = _as_ground(ground)
     require_subset_table(g)
@@ -223,24 +229,50 @@ def random_matroid(rng: random.Random, ground: Union[GroundSet, int]) -> Matroid
     q = rng.choice((2, 3, 5))
     r = rng.randint(0, n)
     cols = [tuple(rng.randrange(q) for _ in range(r)) for _ in range(n)]
-    # echelon rows (pivot, row) spanning the columns of each independent mask;
-    # masks go in ascending order, so the mask minus its lowest bit is settled
-    echelon: dict[int, list[tuple[int, list[int]]]] = {0: []}
-    for mask in range(1, g.full_mask + 1):
-        rest = mask & (mask - 1)
-        if rest not in echelon:
-            continue
-        v = list(cols[(mask ^ rest).bit_length() - 1])
-        for pivot, row in echelon[rest]:
-            if f := v[pivot]:
-                v = [(a - f * b) % q for a, b in zip(v, row)]
-        pivot = next((k for k, a in enumerate(v) if a), None)
-        if pivot is not None:
-            inv = pow(v[pivot], -1, q)
-            echelon[mask] = echelon[rest] + [(pivot, [a * inv % q for a in v])]
-    rank = max(mask.bit_count() for mask in echelon)
-    bases = [mask for mask in echelon if mask.bit_count() == rank]
-    return Matroid(g, circuits_of_bases(g, bases))
+    # row-reduce once, pivoting on each column that still has an entry in a
+    # row no basis element owns: the owned rows end up as the greedy basis,
+    # and the rows left unowned are zero in every column
+    owners: list[Optional[int]] = [None] * r
+    coords = cols
+    for e in range(n):
+        t = next((t for t, a in enumerate(coords[e]) if a and owners[t] is None), None)
+        if t is not None:
+            owners, coords = _pivot(owners, coords, t, e, q)
+    start = sum(1 << f for f in owners if f is not None)
+    seen = {start}
+    # a neighbour waits with its parent's frame and is pivoted when popped
+    todo = [(start, owners, coords, None, None)]
+    circuits = set()
+    while todo:
+        basis, owners, coords, row, e = todo.pop()
+        if e is not None:
+            owners, coords = _pivot(owners, coords, row, e, q)
+        for x in range(n):
+            if basis >> x & 1:
+                continue
+            support = [t for t, a in enumerate(coords[x]) if a]
+            circuits.add(sum((1 << owners[t] for t in support), 1 << x))
+            for t in support:
+                nb = basis ^ (1 << owners[t]) ^ (1 << x)
+                if nb not in seen:
+                    seen.add(nb)
+                    todo.append((nb, owners, coords, t, x))
+    return Matroid(g, circuits)
+
+
+def _pivot(owners: list[Optional[int]], coords: list[tuple[int, ...]], t: int, e: int, q: int):
+    """The frame of the basis that swaps row ``t``'s owner for element ``e``."""
+    col = coords[e]
+    inv = pow(col[t], -1, q)
+    out = []
+    for c in coords:
+        f = c[t] * inv % q
+        if f:  # a column with no entry in row t keeps its coordinates
+            c = tuple(f if i == t else (a - f * b) % q for i, (a, b) in enumerate(zip(c, col)))
+        out.append(c)
+    owners = owners.copy()
+    owners[t] = e
+    return owners, out
 
 
 def random_quotient_pair(

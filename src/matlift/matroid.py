@@ -37,9 +37,10 @@ from .sets import GroundSet, SetFamily, bit_indices, masks_of_size
 CYCLIC_ENUM_CAP = 16
 
 # The cap bounds dual's basis scan, which visits C(n, r) masks, and
-# random_matroid's echelon table over the 2^n subsets; both refuse larger
-# ground sets before any work. Nothing keeps a byte per subset, and
-# from_bases reads its circuits off the given bases, so it takes no cap.
+# random_matroid's walk over its bases, which keeps one entry per basis;
+# both refuse larger ground sets before any work. Nothing keeps a byte per
+# subset, and from_bases reads its circuits off the given bases, so it takes
+# no cap.
 SUBSET_TABLE_CAP = 20
 
 
@@ -69,7 +70,8 @@ class FundamentalFamily:
 class Matroid:
     """Matroid on a labelled ground set, given by its circuits."""
 
-    __slots__ = ("ground", "circuits", "_rank_memo")
+    # _dual stays unset until dual() first runs
+    __slots__ = ("ground", "circuits", "_rank_memo", "_dual")
 
     def __init__(self, ground: GroundSet, circuits: SetFamily | Iterable[int]):
         fam = circuits if isinstance(circuits, SetFamily) else SetFamily(circuits)
@@ -181,9 +183,13 @@ class Matroid:
     # ------------------------------------------------------------ bases, dual
 
     def bases(self) -> SetFamily:
-        """All bases, as the independent sets of full-rank cardinality."""
-        r = self.rank()
-        return SetFamily(b for b in masks_of_size(len(self.ground), r) if self.is_independent(b))
+        """All bases, as the r-subsets that contain no circuit."""
+        circuits = self.circuits.members
+        return SetFamily(
+            b
+            for b in masks_of_size(len(self.ground), self.rank())
+            if all(c & ~b for c in circuits)
+        )
 
     def dual(self) -> "Matroid":
         """Dual matroid, whose bases are the complements of this matroid's bases.
@@ -192,11 +198,19 @@ class Matroid:
         No exchange check runs on the complements, since duality implies it;
         the constructor checks the circuits. The basis scan visits C(n, r)
         masks, so ground sets above ``SUBSET_TABLE_CAP`` are refused first.
+
+        The result is built once and kept on this matroid. It does not point
+        back, so ``m.dual().dual()`` builds a second dual and compares fresh.
         """
+        try:
+            return self._dual
+        except AttributeError:
+            pass
         require_subset_table(self.ground)
         full = self.ground.full_mask
         complements = [full & ~b for b in self.bases()]
-        return Matroid(self.ground, circuits_of_bases(self.ground, complements))
+        self._dual = Matroid(self.ground, circuits_of_bases(self.ground, complements))
+        return self._dual
 
     # ------------------------------------------------- fundamental circuits
 
@@ -248,10 +262,11 @@ class Matroid:
         """All cyclic sets, optionally only those of one fixed nullity.
 
         Without a filter this scans every subset and refuses on ground sets
-        larger than ``CYCLIC_ENUM_CAP``. With ``nullity=k`` it enumerates
-        unions of exactly k circuits instead (every cyclic set of nullity k
-        is such a union), which stays feasible on larger ground sets whenever
-        the circuit family is modest.
+        larger than ``CYCLIC_ENUM_CAP``. With ``nullity=k`` it scans every
+        subset too up to ``CYCLIC_ENUM_CAP`` elements, ranking only the
+        cyclic ones. Above the cap it takes the unions of k circuits instead
+        (every cyclic set of nullity k is such a union), which stays feasible
+        whenever the circuit family is modest.
         """
         n = len(self.ground)
         if nullity is None:

@@ -6,6 +6,7 @@ enumeration routes must reproduce them exactly.
 """
 
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -19,6 +20,7 @@ from matlift.enumeration import (
     random_quotient_pair,
 )
 from matlift.errors import GroundTooLarge
+from matlift.matroid import free_matroid
 from matlift.quotient import certify_quotient, lift_witness
 from matlift.sets import SetFamily, fresh_labels
 from matlift.textio import parse_pair_line
@@ -206,9 +208,10 @@ def test_random_matroids_are_valid_and_reproducible():
 def test_random_matroids_match_full_elimination():
     # replay each draw and rebuild the circuits with a full GF(q) elimination
     # per subset; the draw must leave the rng where the replay does
-    for seed in range(40):
+    # seeds 0-39 draw on 5-8 elements, seeds 40-47 on 9-12
+    for seed in range(48):
         rng, replay = random.Random(seed), random.Random(seed)
-        n = 5 + seed % 4
+        n = 5 + seed % 4 if seed < 40 else 9 + seed % 4
         m = random_matroid(rng, n)
         q = replay.choice((2, 3, 5))
         r = replay.randint(0, n)
@@ -219,6 +222,22 @@ def test_random_matroids_match_full_elimination():
             return gf_rank(chosen, q) < len(chosen)
 
         assert m.circuits == brute_minimal_dependent(n, dependent)
+        assert rng.getstate() == replay.getstate()
+
+
+def test_full_rank_draws_return_the_free_matroid_at_once():
+    # these seeds draw r = n and a non-singular matrix, so the walk starts and
+    # ends at the one basis, with no table over the 2^n subsets
+    for n, seed in ((16, 40), (20, 118)):
+        rng, replay = random.Random(seed), random.Random(seed)
+        start = time.perf_counter()
+        m = random_matroid(rng, n)
+        assert time.perf_counter() - start < 0.5
+        assert m == free_matroid(m.ground)
+        q = replay.choice((2, 3, 5))
+        assert replay.randint(0, n) == n
+        cols = [tuple(replay.randrange(q) for _ in range(n)) for _ in range(n)]
+        assert gf_rank(cols, q) == n
         assert rng.getstate() == replay.getstate()
 
 

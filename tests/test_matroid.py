@@ -103,6 +103,14 @@ def test_dual_involution_and_rank_formula(basis_catalogs):
             assert d.rank() == len(m.ground) - m.rank()
 
 
+def test_dual_is_built_once_and_does_not_point_back(basis_catalogs):
+    for m in basis_catalogs[4].entries:
+        d = m.dual()
+        assert d is m.dual()
+        assert d.dual() == m
+        assert d.dual() is not m
+
+
 def test_dual_bases_are_complements(basis_catalogs):
     for n in range(1, 6):
         for m in basis_catalogs[n].entries:

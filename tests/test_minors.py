@@ -83,6 +83,15 @@ def test_duality_exchanges_the_two_minors():
         minors.CROSS_CHECK = True
 
 
+def test_cross_check_reads_the_kept_dual():
+    # a wrong dual planted in the slot must make the second route disagree
+    assert minors.CROSS_CHECK
+    m = mk(3, "ab", "ac", "bc")
+    m._dual = mk(3, "ab")  # the true dual has the one circuit abc
+    with pytest.raises(AssertionError, match="contraction routes disagree"):
+        contract(m, 0b100)
+
+
 def test_cannot_remove_the_whole_ground(u13):
     with pytest.raises(DeletesEverything):
         delete(u13, 0b111)
