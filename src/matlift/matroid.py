@@ -14,7 +14,6 @@ ground labels in the same order and the same circuit family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Optional
 
 from .axioms import AxiomReport, check_basis_exchange, check_circuit_axioms
@@ -32,8 +31,9 @@ from .errors import (
 )
 from .sets import GroundSet, SetFamily, bit_indices, masks_of_size
 
-# All-subset scans (cyclic_sets without a filter) refuse to run above this
-# many elements; callers must pass a nullity filter or test sets pointwise.
+# cyclic_sets without a filter refuses ground sets above this many elements,
+# since it returns every cyclic set and there can be up to 2^n of them;
+# callers must pass a nullity filter or test sets pointwise.
 CYCLIC_ENUM_CAP = 16
 
 # The cap bounds dual's basis scan, which visits C(n, r) masks, and
@@ -261,37 +261,35 @@ class Matroid:
     def cyclic_sets(self, nullity: Optional[int] = None) -> SetFamily:
         """All cyclic sets, optionally only those of one fixed nullity.
 
-        Without a filter this scans every subset and refuses on ground sets
-        larger than ``CYCLIC_ENUM_CAP``. With ``nullity=k`` it scans every
-        subset too up to ``CYCLIC_ENUM_CAP`` elements, ranking only the
-        cyclic ones. Above the cap it takes the unions of k circuits instead
-        (every cyclic set of nullity k is such a union), which stays feasible
-        whenever the circuit family is modest.
+        The sets are grown from the empty set: each step takes every union
+        of a frontier set with a circuit not inside it. Every cyclic set of
+        nullity k + 1 is such a union of one of nullity k: over a basis of
+        the set, the fundamental circuits of all but one outside element
+        make up the smaller set. So with ``nullity=k`` step t keeps the
+        unions of nullity t and step k is the answer. Without a filter the
+        frontier is the unions not reached before, and every set reached is
+        returned; that family can hold 2^n sets, so ground sets above
+        ``CYCLIC_ENUM_CAP`` are refused.
         """
-        n = len(self.ground)
-        if nullity is None:
-            if n > CYCLIC_ENUM_CAP:
-                raise GroundTooLarge(
-                    f"all-subset scan needs at most {CYCLIC_ENUM_CAP} elements; "
-                    "pass a nullity filter or use is_cyclic pointwise"
-                )
-            return SetFamily(a for a in range(1 << n) if self.is_cyclic(a))
-        if nullity < 0:
-            return SetFamily()
-        if nullity == 0:
-            return SetFamily([0])
-        if n <= CYCLIC_ENUM_CAP:
-            return SetFamily(  # rank only the cyclic sets
-                a for a in range(1 << n) if self.is_cyclic(a) and self.nullity(a) == nullity
+        if nullity is None and len(self.ground) > CYCLIC_ENUM_CAP:
+            raise GroundTooLarge(
+                f"listing every cyclic set needs at most {CYCLIC_ENUM_CAP} elements; "
+                "pass a nullity filter or use is_cyclic pointwise"
             )
-        out = set()
-        for combo in combinations(self.circuits.members, nullity):
-            u = 0
-            for c in combo:
-                u |= c
-            if u not in out and self.nullity(u) == nullity:
-                out.add(u)
-        return SetFamily(out)
+        if nullity is not None and nullity < 0:
+            return SetFamily()
+        circuits = self.circuits.members
+        frontier, reached = {0}, {0}
+        step = 0
+        while frontier and step != nullity:
+            step += 1
+            grown = {a | c for a in frontier for c in circuits if c & ~a}
+            if nullity is None:
+                frontier = grown - reached
+                reached |= frontier
+            else:
+                frontier = {u for u in grown if self.nullity(u) == step}
+        return SetFamily(reached if nullity is None else frontier)
 
     # ---------------------------------------------------------- conveniences
 

@@ -132,9 +132,18 @@ def test_remark_listing_and_compare(files, capsys):
     assert run_command(["remark", files["u13"], files["f3"], "--j", "9"]) == 2
 
 
-def test_cyclic_sets_listing(files, capsys):
+def test_cyclic_sets_listing(files, tmp_path, capsys):
     assert run_command(["cyclic-sets", files["u13"], "--nullity", "2"]) == 0
     assert capsys.readouterr().out.strip() == "{a,b,c}"
+    assert run_command(["cyclic-sets", files["u13"]]) == 0
+    assert capsys.readouterr().out.splitlines() == ["{}", "{a,b}", "{a,c}", "{b,c}", "{a,b,c}"]
+    # the unfiltered listing can hold 2^n sets, so 17 elements are refused
+    path = tmp_path / "free17.txt"
+    path.write_text("matroid free17\nground " + " ".join(f"e{i}" for i in range(17)) + "\nend\n")
+    assert run_command(["cyclic-sets", str(path)]) == 2
+    assert "at most 16" in capsys.readouterr().err
+    assert run_command(["cyclic-sets", str(path), "--nullity", "1"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_enumerate_and_pairs(tmp_path, capsys):

@@ -12,16 +12,20 @@ from hypothesis import strategies as st
 
 from matlift.errors import (
     EliminationFailure,
+    EmptyBasisFamily,
+    EmptyCircuit,
     ExchangeFailure,
     GroundTooLarge,
     NotClutter,
     NotIndependent,
     PreconditionFailure,
     StillIndependent,
+    UnequalBasisSizes,
 )
 from matlift.axioms import check_circuit_axioms
 from matlift.enumeration import enumerate_matroids, random_matroid
 from matlift.matroid import (
+    CYCLIC_ENUM_CAP,
     SUBSET_TABLE_CAP,
     Matroid,
     free_matroid,
@@ -44,6 +48,8 @@ CAT4 = enumerate_matroids(4).entries
 
 def test_constructor_rejects_non_matroids():
     g = default_ground(3)
+    with pytest.raises(EmptyCircuit):
+        Matroid(g, [0])
     with pytest.raises(NotClutter):
         Matroid(g, [0b001, 0b011])
     with pytest.raises(EliminationFailure):
@@ -156,9 +162,16 @@ def test_fundamental_family_partitions_roots(u23):
     assert fam.union_mask == 0b111
 
 
-def test_cyclic_sets_match_union_closure():
-    for m in enumerate_matroids(3).entries:
-        assert set(m.cyclic_sets()) == brute_cyclic_sets(m)
+@pytest.fixture(scope="module")
+def cyclic_draws():
+    """30 seeded random matroids on 7-9 elements."""
+    return [random_matroid(random.Random(seed), 7 + seed % 3) for seed in range(30)]
+
+
+def test_cyclic_sets_match_union_closure(basis_catalogs, cyclic_draws):
+    catalogs = [m for n in range(1, 6) for m in basis_catalogs[n].entries]
+    for m in catalogs + cyclic_draws:
+        assert set(m.cyclic_sets()) == brute_cyclic_sets(m), m
 
 
 def test_cyclic_nullity_filter(u13):
@@ -170,8 +183,11 @@ def test_cyclic_nullity_filter(u13):
 
 def _assert_cyclic_sets_by_nullity(m):
     expected = brute_cyclic_sets_by_nullity(m)
-    for k in range(len(m.ground) + 1):
-        assert set(m.cyclic_sets(nullity=k)) == expected.get(k, set()), (m, k)
+    levels = [set(m.cyclic_sets(nullity=k)) for k in range(len(m.ground) + 1)]
+    for k, level in enumerate(levels):
+        assert level == expected.get(k, set()), (m, k)
+    if len(m.ground) <= CYCLIC_ENUM_CAP:
+        assert set().union(*levels) == set(m.cyclic_sets()), m
 
 
 def test_cyclic_nullity_filter_on_the_catalogs(basis_catalogs):
@@ -180,14 +196,14 @@ def test_cyclic_nullity_filter_on_the_catalogs(basis_catalogs):
             _assert_cyclic_sets_by_nullity(m)
 
 
-def test_cyclic_nullity_filter_on_random_matroids():
-    for seed in range(30):
-        _assert_cyclic_sets_by_nullity(random_matroid(random.Random(seed), 7 + seed % 3))
+def test_cyclic_nullity_filter_on_random_matroids(cyclic_draws):
+    for m in cyclic_draws:
+        _assert_cyclic_sets_by_nullity(m)
 
 
 def test_cyclic_nullity_filter_above_the_scan_cap():
-    # U(1,3) + U(2,4) + U(1,2) + U(3,5) + three coloops: 17 elements, so the
-    # filter takes unions of k circuits instead of scanning every subset
+    # U(1,3) + U(2,4) + U(1,2) + U(3,5) + three coloops: 17 elements, above
+    # the cap of the unfiltered listing, which the filtered growth ignores
     m = mk(
         tuple("abcdefghijklmnopq"),
         "ab", "ac", "bc",
@@ -247,6 +263,11 @@ def test_from_bases_round_trip(basis_catalogs, draws):
         assert Matroid.from_bases(m.ground, brute_bases(m)) == m
     with pytest.raises(ExchangeFailure):
         Matroid.from_bases(default_ground(4), [0b0011, 0b1100])
+    g = default_ground(3)
+    with pytest.raises(EmptyBasisFamily):
+        Matroid.from_bases(g, [])
+    with pytest.raises(UnequalBasisSizes):
+        Matroid.from_bases(g, [0b001, 0b011])
 
 
 def test_from_bases_takes_the_largest_grounds():
