@@ -9,6 +9,7 @@ verify those constructions exhaustively.
 """
 
 from .errors import (
+    CheckFailure,
     ConstructionFailure,
     FactorizationFailure,
     LemmaCounterexample,
@@ -36,6 +37,7 @@ from .textio import parse_matroid_text, serialize_matroid_text
 __version__ = "0.1.0"
 
 __all__ = [
+    "CheckFailure",
     "ConstructionFailure",
     "FactorizationFailure",
     "GroundSet",

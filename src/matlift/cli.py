@@ -3,7 +3,8 @@
 Every subcommand reads matroids from the line-oriented text format (see
 textio) and reports through exit codes: 0 when the queried property holds
 or the requested object was produced, 1 when a property fails (the
-counterexample is printed), 2 for unusable input or bad invocations.
+counterexample is printed; a raised check prints ``FAIL: <message>`` and
+its dump), 2 for unusable input or bad invocations.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from typing import Optional, Sequence
 from . import quotient, sweeps
 from .axioms import check_circuit_axioms
 from .enumeration import enumerate_matroids, pair_records
-from .errors import (
-    ConstructionFailure,
-    FactorizationFailure,
-    LabelClash,
-    LemmaCounterexample,
-    MatliftError,
-    QuotientViolation,
-)
+from .errors import CheckFailure, LabelClash, MatliftError, QuotientViolation
 from .matroid import Matroid
 from .minors import contract, delete
 from .sets import GroundSet, SetFamily
@@ -32,18 +26,14 @@ from .sweeps import SweepConfig
 from .textio import (
     catalog_line,
     parse_document,
+    parse_matroid_text,
     serialize_matroid_text,
     write_catalog,
 )
 
 # Failures of a checked property: report the counterexample on stdout, exit 1.
 # Everything else raised by the library is an input problem, exit 2.
-PROPERTY_FAILURES = (
-    QuotientViolation,
-    ConstructionFailure,
-    FactorizationFailure,
-    LemmaCounterexample,
-)
+PROPERTY_FAILURES = (QuotientViolation, CheckFailure)
 
 
 def _read_text(path: str) -> str:
@@ -52,7 +42,7 @@ def _read_text(path: str) -> str:
 
 
 def _load(path: str) -> Matroid:
-    return parse_document(_read_text(path)).to_matroid()
+    return parse_matroid_text(_read_text(path))
 
 
 def _label_mask(ground: GroundSet, spec: Optional[str]) -> int:
@@ -145,12 +135,12 @@ def _cmd_lift(args) -> int:
     m = _load(args.m_file)
     l = _load(args.l_file)
     w = quotient.lift_witness(m, l, _split_labels(args.labels))
-    _emit(w.n, "witness")
+    text = serialize_matroid_text(w.n, "witness")
+    sys.stdout.write(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "witness.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_matroid_text(w.n, "witness"))
+        with open(os.path.join(args.out, "witness.txt"), "w", encoding="utf-8") as fh:
+            fh.write(text)
     return 0
 
 

@@ -2,6 +2,8 @@
 
 Every failure a caller can provoke has a named type so tests and the CLI can
 tell usage errors, refused preconditions, and genuine counterexamples apart.
+A failed check (construction, factorization or checked statement) is a
+CheckFailure and carries a dump of its inputs that replays.
 """
 
 from __future__ import annotations
@@ -129,11 +131,12 @@ class PreconditionFailure(MatliftError):
     """Arguments violate an operation's stated precondition."""
 
 
-class ConstructionFailure(MatliftError):
-    """A construction that is supposed to succeed did not.
+class CheckFailure(MatliftError):
+    """A checked property failed on concrete inputs.
 
-    Carries a replayable dump of the inputs so the failure can be reproduced
-    from the message alone.
+    ``dump`` holds the inputs as named matroid documents and extra lines
+    (see ``textio.dump_text``); each document replays through
+    ``parse_matroid_text``. The string form is the message, then the dump.
     """
 
     def __init__(self, message: str, dump: str = ""):
@@ -141,11 +144,15 @@ class ConstructionFailure(MatliftError):
         super().__init__(message + ("\n" + dump if dump else ""))
 
 
-class FactorizationFailure(MatliftError):
+class ConstructionFailure(CheckFailure):
+    """A construction that is supposed to succeed did not."""
+
+
+class FactorizationFailure(CheckFailure):
     """A factorization step violated one of its checked properties."""
 
 
-class LemmaCounterexample(MatliftError):
+class LemmaCounterexample(CheckFailure):
     """A checked statement failed on a concrete instance."""
 
 

@@ -9,15 +9,17 @@ plus every set A + Z where A is cyclic in M and independent in L, Z is a
 non-empty set of new elements, and nullity(A) + |Z| = s + 1.
 
 The construction is checked, not trusted: the candidate family must pass the
-strong circuit axioms and both minors must come back equal to the operands,
-otherwise ConstructionFailure carries a replayable dump. factor_homotopy
-builds single-step quotients from the closed-form stage families without N
-(the Higgs factorization), or reads them off a verified witness if given one.
+strong circuit axioms and verify_pair must find both minors equal to the
+operands, otherwise ConstructionFailure is raised. factor_homotopy builds
+single-step quotients from the closed-form stage families without N (the
+Higgs factorization), or reads them off a verified witness if given one, and
+raises FactorizationFailure if a stage fails its rank or certify check.
 
 The checked statements (span witness, cyclic extension and elimination, the
 rooted base family, the high-nullity dependence check) power the sweep
 harness; each validates its own conclusion and raises LemmaCounterexample
-with a replayable instance if the conclusion ever fails.
+if the conclusion ever fails. Every one of these failures is a CheckFailure
+whose ``dump`` (``textio.dump_text``) replays its inputs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .minors import contract, delete
 from .sets import (
     GroundSet, SetFamily, bit_indices, fresh_labels, masks_of_size, minimal_members, submasks,
 )
-from .textio import serialize_matroid_text
+from .textio import dump_text
 
 
 # ------------------------------------------------------------- certification
@@ -121,9 +123,7 @@ def certify_quotient(
     step = l.rank() - m.rank()
     if step < 0 or (step == 0 and m != l):
         raise LemmaCounterexample(
-            "rank order violated on a certified pair:\n"
-            + serialize_matroid_text(m, "M")
-            + serialize_matroid_text(l, "L")
+            "rank order violated on a certified pair:", dump_text(("M", m), ("L", l))
         )
     return QuotientCertificate(m, l, step, coverings)
 
@@ -160,15 +160,9 @@ class LiftWitness:
         return self.n.ground.full_mask & ~self.m.ground.full_mask
 
 
-def _dump(m: Matroid, l: Matroid, labels: Sequence[str], extra: str = "") -> str:
-    parts = [
-        serialize_matroid_text(m, "M"),
-        serialize_matroid_text(l, "L"),
-        "labels " + " ".join(labels),
-    ]
-    if extra:
-        parts.append(extra)
-    return "\n".join(parts)
+def _dump(m: Matroid, l: Matroid, labels: Sequence[str], *extra: str) -> str:
+    """Failure dump of the operands and lift labels, then ``extra`` lines."""
+    return dump_text(("M", m), ("L", l), extra=("labels " + " ".join(labels), *extra))
 
 
 def _lift_inputs(
@@ -196,8 +190,9 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
     Requires rank step s >= 1 and exactly s fresh labels. Raises
     QuotientViolation when certification fails, RankMismatch on a label-count
     or zero-step mismatch, LabelClash on label collisions, InvalidGroundSet on
-    a bad label, and ConstructionFailure (with a replayable dump) if any
-    verification step fails, which would contradict the existence theorem.
+    a bad label, and ConstructionFailure (with a replayable dump) if the
+    family fails the strong axioms or verify_pair rejects N, which would
+    contradict the existence theorem.
     """
     outcome, labels, big = _lift_inputs(m, l, x_labels)
     s = outcome.step_s
@@ -220,17 +215,9 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
             _dump(m, l, labels, big.format_family(candidate)),
         )
     n = Matroid._from_report(report)  # the strong check implies the weak one
-    x_mask = big.full_mask & ~m.ground.full_mask
-    if contract(n, x_mask) != m:
-        raise ConstructionFailure(
-            "contraction of the witness does not return the lower matroid",
-            _dump(m, l, labels, serialize_matroid_text(n, "N")),
-        )
-    if delete(n, x_mask) != l:
-        raise ConstructionFailure(
-            "deletion of the witness does not return the upper matroid",
-            _dump(m, l, labels, serialize_matroid_text(n, "N")),
-        )
+    check = verify_pair(n, big.full_mask & ~m.ground.full_mask, m, l)
+    if not check.ok:
+        raise ConstructionFailure(check.describe(), _dump(m, l, labels, dump_text(("N", n))))
     return LiftWitness(m, l, n, labels, outcome, True)
 
 
@@ -259,16 +246,20 @@ class VerifyReport:
 
 
 def verify_pair(n: Matroid, x: int, m: Matroid, l: Matroid) -> VerifyReport:
-    """Check that contracting/deleting ``x`` in ``n`` gives ``m`` and ``l``."""
-    n.ground.check_mask(x)
+    """Check that contracting/deleting ``x`` in ``n`` gives ``m`` and ``l``.
+
+    ``x`` must be a non-empty proper subset of n's ground (PreconditionFailure,
+    DeletesEverything), and both operands must live on the rest of it
+    (GroundMismatch).
+    """
     if x == 0:
         raise PreconditionFailure("the lifted element set must be non-empty")
-    rest = n.ground.restrict(n.ground.full_mask & ~x)
+    contracted = contract(n, x)  # UnknownLabel, DeletesEverything on a bad x
+    rest = contracted.ground
     if m.ground != rest or l.ground != rest:
         raise GroundMismatch(
             f"operands must live on {rest!r}; got {m.ground!r} and {l.ground!r}"
         )
-    contracted = contract(n, x)
     deleted = delete(n, x)
     c_ok = contracted == m
     d_ok = deleted == l
@@ -321,14 +312,14 @@ def factor_homotopy(
     for i, stage in enumerate(steps):
         if stage.rank() != base + i:
             raise FactorizationFailure(
-                f"stage {i} has rank {stage.rank()}, expected {base + i}"
+                f"stage {i} has rank {stage.rank()}, expected {base + i}", _dump(m, l, labels)
             )
     for i in range(k):
         outcome = certify_quotient(steps[i], steps[i + 1])
         if not outcome.holds:
             raise FactorizationFailure(
-                f"consecutive stages {i}, {i + 1} do not certify: "
-                + outcome.describe()
+                f"consecutive stages {i}, {i + 1} do not certify: " + outcome.describe(),
+                _dump(m, l, labels),
             )
     return HomotopySequence(steps)
 
@@ -439,8 +430,7 @@ def lemma_span_witness(m: Matroid, a: int) -> FundamentalFamily:
     fam = m.fundamental_family(independent, a & ~independent)
     if fam.union_mask != m.restriction_circuits(a).union_mask or fam.size != m.nullity(a):
         raise LemmaCounterexample(
-            "span witness failed on " + m.ground.format_mask(a) + "\n"
-            + serialize_matroid_text(m, "M")
+            "span witness failed on " + m.ground.format_mask(a), dump_text(("M", m))
         )
     return fam
 
@@ -474,20 +464,15 @@ def cyclic_extension(m: Matroid, a1: int, a2: int) -> int:
     grown = m.max_independent(union & ~a1 | i1, start=i1)
     roots = union & ~grown & ~a1
     if not roots:
-        raise LemmaCounterexample(
-            "no root outside the first set\n" + serialize_matroid_text(m, "M")
-        )
+        raise LemmaCounterexample("no root outside the first set", dump_text(("M", m)))
     q = next(bit_indices(roots))
     result = a1 | m.fundamental_circuit(grown, q)
     target = m.nullity(a1) + 1
     if not (m.is_cyclic(result) and result & ~union == 0 and m.nullity(result) == target):
         raise LemmaCounterexample(
-            "extension result invalid on "
-            + m.ground.format_mask(a1)
-            + ", "
-            + m.ground.format_mask(a2)
-            + "\n"
-            + serialize_matroid_text(m, "M")
+            f"extension result invalid on {m.ground.format_mask(a1)}, "
+            f"{m.ground.format_mask(a2)}",
+            dump_text(("M", m)),
         )
     return result
 
@@ -511,12 +496,9 @@ def cyclic_elimination(m: Matroid, a1: int, a2: int, a: int) -> int:
         if m.nullity(cand) == target_nullity and m.is_cyclic(cand):
             return cand
     raise LemmaCounterexample(
-        "no replacement cyclic set avoiding "
-        + m.ground.labels[a]
-        + " in "
-        + m.ground.format_mask(a1 | a2)
-        + "\n"
-        + serialize_matroid_text(m, "M")
+        f"no replacement cyclic set avoiding {m.ground.labels[a]} in "
+        f"{m.ground.format_mask(a1 | a2)}",
+        dump_text(("M", m)),
     )
 
 
@@ -552,14 +534,9 @@ def base_family_witness(
     )
     if not ok:
         raise LemmaCounterexample(
-            "rooted base family failed on "
-            + m.ground.format_mask(a)
-            + ", circuit "
-            + m.ground.format_mask(d_circuit)
-            + ", element "
-            + m.ground.labels[d]
-            + "\n"
-            + serialize_matroid_text(m, "M")
+            f"rooted base family failed on {m.ground.format_mask(a)}, circuit "
+            f"{m.ground.format_mask(d_circuit)}, element {m.ground.labels[d]}",
+            dump_text(("M", m)),
         )
     return basis, fam
 
@@ -577,10 +554,8 @@ def bigcyclo_check(m: Matroid, l: Matroid, s: int) -> SetFamily:
     for a in checked:
         if l.is_independent(a):
             raise LemmaCounterexample(
-                "cyclic set "
-                + m.ground.format_mask(a)
-                + f" has nullity {s + 1} but stays independent upstairs\n"
-                + serialize_matroid_text(m, "M")
-                + serialize_matroid_text(l, "L")
+                f"cyclic set {m.ground.format_mask(a)} has nullity {s + 1} but "
+                "stays independent upstairs",
+                dump_text(("M", m), ("L", l)),
             )
     return checked

@@ -25,7 +25,7 @@ from .errors import ConstructionFailure, LemmaCounterexample, MatliftError, Prec
 from .matroid import Matroid
 from .minors import contract, delete
 from .sets import bit_indices, default_ground, fresh_labels
-from .textio import parse_matroid_text, serialize_matroid_text
+from .textio import dump_text, parse_matroid_text, serialize_matroid_text
 
 
 # Scope of lemma_randomized_sweep.
@@ -271,9 +271,8 @@ def _pair_rank_order_check(m: Matroid, l: Matroid) -> None:
     for mask in range(1 << len(m.ground)):
         if m.is_independent(mask) and not l.is_independent(mask):
             raise LemmaCounterexample(
-                f"independent set {m.ground.format_mask(mask)} lost upstairs\n"
-                + serialize_matroid_text(m, "M")
-                + serialize_matroid_text(l, "L")
+                f"independent set {m.ground.format_mask(mask)} lost upstairs",
+                dump_text(("M", m), ("L", l)),
             )
 
 
@@ -342,9 +341,7 @@ def lemma_randomized_sweep(config: Optional[SweepConfig] = None) -> SweepOutcome
             cert = quotient.certify_quotient(m, l)
             if not cert.holds:
                 raise LemmaCounterexample(
-                    "random minor pair refused certification\n"
-                    + serialize_matroid_text(m, "M")
-                    + serialize_matroid_text(l, "L")
+                    "random minor pair refused certification", dump_text(("M", m), ("L", l))
                 )
             _pair_rank_order_check(m, l)
             instances["rank-order"] += 1
@@ -366,11 +363,10 @@ def lemma_randomized_sweep(config: Optional[SweepConfig] = None) -> SweepOutcome
             outer = quotient.certify_quotient(m2, k2)
             if not (lo.holds and hi.holds and outer.holds):
                 raise LemmaCounterexample(
-                    "transitivity failed on random chained minors\n"
-                    + serialize_matroid_text(lifted, "N")
+                    "transitivity failed on random chained minors", dump_text(("N", lifted))
                 )
             instances["transitivity"] += 1
-    except (LemmaCounterexample, MatliftError) as exc:
+    except MatliftError as exc:
         return _outcome("lemma-randomized", t0, False, str(exc).splitlines()[0])
     total = sum(instances.values())
     details = f"{total} randomized instances hold: " + ", ".join(

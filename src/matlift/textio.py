@@ -11,6 +11,9 @@ blank lines are ignored)::
 Labels match ``[A-Za-z0-9_]+``. Serialization is canonical: ground order as
 given, circuits in canonical family order, one trailing newline. Parsing a
 canonically serialized document and serializing it again is the identity.
+A failed check dumps its inputs (``dump_text``) as named documents, then
+free lines such as ``labels <label> ...``; each document, cut at its
+``end`` line, parses back.
 
 Catalog flat files carry one matroid per line::
 
@@ -123,6 +126,12 @@ def serialize_matroid_text(m: Matroid, name: Optional[str] = None) -> str:
         lines.append("circuit " + " ".join(m.ground.labels_of(c)))
     lines.append("end")
     return "\n".join(lines) + "\n"
+
+
+def dump_text(*named: tuple[str, Matroid], extra: Iterable[str] = ()) -> str:
+    """Replayable inputs of a failed check: the ``(name, matroid)`` documents,
+    then the ``extra`` lines, all joined by newlines."""
+    return "\n".join([*(serialize_matroid_text(m, name) for name, m in named), *extra])
 
 
 # ------------------------------------------------------------ catalog format

@@ -11,8 +11,9 @@ from hypothesis import configuration, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from matlift import minors
+from matlift import minors, quotient
 from matlift.enumeration import enumerate_matroids
+from matlift.sets import SetFamily
 
 from helpers import mk
 
@@ -63,6 +64,18 @@ def u23():
 @pytest.fixture
 def f3():
     return mk(3)
+
+
+@pytest.fixture
+def skewed_stage_two(monkeypatch):
+    """The closed-form family at j = 2 comes out empty, so the formula route's
+    stage 1 of a two-step pair is free, one rank too high."""
+    family = quotient._remark_family
+
+    def skewed(m, l, j):
+        return SetFamily() if j == 2 else family(m, l, j)
+
+    monkeypatch.setattr(quotient, "_remark_family", skewed)
 
 
 @pytest.fixture

@@ -2,13 +2,14 @@
 
 Everything here recomputes matroid quantities from first principles
 (independence = contains no circuit), with no shortcuts shared with the
-implementation under test.
+implementation under test. ``replay_dump`` reads a failure dump back.
 """
 
 from itertools import combinations
 
 from matlift.matroid import Matroid
 from matlift.sets import GroundSet, SetFamily, default_ground
+from matlift.textio import parse_matroid_text
 
 
 def mk(n_or_labels, *circuit_labels) -> Matroid:
@@ -142,3 +143,23 @@ def gf_rank(vectors: list[tuple[int, ...]], q: int) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def replay_dump(dump: str) -> tuple[dict[str, Matroid], list[str]]:
+    """The documents of a failure dump, each parsed by ``parse_matroid_text``
+    and keyed by its name, and the dump's other non-blank lines in order."""
+    docs: dict[str, Matroid] = {}
+    extra: list[str] = []
+    document = None
+    for line in dump.splitlines():
+        if line.startswith("matroid"):
+            document = [line]
+        elif document is not None:
+            document.append(line)
+            if line == "end":
+                docs[document[0].split()[1]] = parse_matroid_text("\n".join(document))
+                document = None
+        elif line:
+            extra.append(line)
+    assert document is None, "dump ends inside a document"
+    return docs, extra

@@ -12,6 +12,8 @@ from matlift.errors import ConstructionFailure
 from matlift.sets import fresh_labels
 from matlift.textio import parse_matroid_text
 
+from helpers import replay_dump
+
 U13 = "matroid u13\nground a b c\ncircuit a b\ncircuit a c\ncircuit b c\nend\n"
 U23 = "matroid u23\nground a b c\ncircuit a b c\nend\n"
 F3 = "matroid f3\nground a b c\nend\n"
@@ -109,6 +111,25 @@ def test_factor_failure_modes(files, capsys, m, l, labels, code, message):
     assert run_command(["factor", files[m], files[l], "--labels", labels]) == code
     out, err = capsys.readouterr()
     assert message in (out if code == 1 else err)
+
+
+def test_factor_exits_1_with_a_replayable_dump(files, skewed_stage_two, capsys):
+    # a stage off the closed form fails its rank check; stdout names the
+    # failure, then the operands and labels it replays from
+    assert run_command(["factor", files["u13"], files["f3"], "--labels", "x1,x2"]) == 1
+    head, dump = capsys.readouterr().out.split("\n", 1)
+    assert head == "FAIL: stage 1 has rank 3, expected 2"
+    m, l = parse_matroid_text(U13), parse_matroid_text(F3)
+    assert replay_dump(dump) == ({"M": m, "L": l}, ["labels x1 x2"])
+
+
+def test_verify_pair_x_must_leave_an_element(files, tmp_path, capsys):
+    n_path = tmp_path / "n2.txt"
+    n_path.write_text("matroid n2\nground a b\nend\n")
+    assert run_command(
+        ["verify-pair", str(n_path), files["u13"], files["u13"], "--x", "a,b"]
+    ) == 2
+    assert "a minor must keep at least one element" in capsys.readouterr().err
 
 
 def test_verify_pair_round_trip(files, tmp_path, capsys):

@@ -6,12 +6,15 @@ from itertools import combinations, permutations
 
 import pytest
 
-from matlift import quotient
+from matlift import quotient, sweeps
 from matlift.enumeration import random_quotient_pair
 from matlift.errors import (
     ConstructionFailure,
+    DeletesEverything,
+    FactorizationFailure,
     GroundMismatch,
     LabelClash,
+    LemmaCounterexample,
     NotDependent,
     PreconditionFailure,
     QuotientViolation,
@@ -42,6 +45,7 @@ from helpers import (
     brute_independent,
     brute_rank,
     mk,
+    replay_dump,
 )
 
 
@@ -154,6 +158,13 @@ def test_wrong_candidate_family_is_caught(u13, u23, monkeypatch, tamper):
     labels = tuple(rest.split("\n")[1].split()[1:])
     assert labels == ("x",)
     assert lift_witness(m, l, labels).n == lift_witness(u13, u23, ("x",)).n
+    if tamper == "drop all":
+        # the minor comparison is verify_pair's; the dump ends with N
+        assert "mismatch" in str(info.value).splitlines()[0]
+        docs, _ = replay_dump(info.value.dump)
+        assert set(docs) == {"M", "L", "N"}
+        assert docs["N"].ground.labels == ("a", "b", "c", "x")
+        assert docs["N"] == Matroid(docs["N"].ground, l.circuits)
 
 
 def test_witness_family_matches_the_brute_force_construction(basis_catalogs):
@@ -196,6 +207,8 @@ def test_verify_pair_preconditions(u13, u23):
         verify_pair(w.n, 0, u13, u23)
     with pytest.raises(GroundMismatch):
         verify_pair(w.n, w.x_mask, mk(2, "ab"), u23)
+    with pytest.raises(DeletesEverything, match="keep at least one element"):
+        verify_pair(w.n, w.n.ground.full_mask, u13, u23)
 
 
 # ------------------------------------------------------------ factorization
@@ -293,13 +306,7 @@ def test_formula_route_is_the_higgs_factorization_on_random_pairs():
     assert (lifted, middle) == (17, 15)
 
 
-def test_homotopy_sweep_fails_on_a_stage_off_the_closed_form(basis_catalogs, monkeypatch):
-    family = quotient._remark_family
-
-    def skewed(m, l, j):
-        return SetFamily() if j == 2 else family(m, l, j)
-
-    monkeypatch.setattr(quotient, "_remark_family", skewed)
+def test_homotopy_sweep_fails_on_a_stage_off_the_closed_form(basis_catalogs, skewed_stage_two):
     out = homotopy_sweep(3, basis_catalogs)
     assert not out.ok
     assert "stage 0b1 of" in out.details and "closed-form family at 2" in out.details
@@ -436,3 +443,46 @@ def test_bigcyclo_families(u13, u23, f3):
     fam = bigcyclo_check(u13, u23, 1)
     assert fam == SetFamily([0b111])
     assert bigcyclo_check(u13, f3, 2) == SetFamily([])
+
+
+# ----------------------------------------------------------- failure dumps
+
+
+def test_lemma_counterexamples_dump_their_operands(u13, f3):
+    # (u13, f3) has step 2; claiming step 0 asks the nullity-1 cyclic sets of
+    # u13 to be dependent in f3, and the reversed pair loses {a,b} upstairs
+    with pytest.raises(LemmaCounterexample) as info:
+        bigcyclo_check(u13, f3, 0)
+    assert str(info.value).splitlines()[0] == (
+        "cyclic set {a,b} has nullity 1 but stays independent upstairs"
+    )
+    assert replay_dump(info.value.dump) == ({"M": u13, "L": f3}, [])
+    with pytest.raises(LemmaCounterexample) as info:
+        sweeps._pair_rank_order_check(f3, u13)
+    assert str(info.value).splitlines()[0] == "independent set {a,b} lost upstairs"
+    assert replay_dump(info.value.dump) == ({"M": f3, "L": u13}, [])
+
+
+def test_factorization_failure_dumps_operands_and_labels(u13, f3, skewed_stage_two):
+    with pytest.raises(FactorizationFailure) as info:
+        factor_homotopy(u13, f3, ("x1", "x2"))
+    assert str(info.value).splitlines()[0] == "stage 1 has rank 3, expected 2"
+    assert replay_dump(info.value.dump) == ({"M": u13, "L": f3}, ["labels x1 x2"])
+
+
+def test_stage_family_must_be_an_antichain(u13, f3, monkeypatch):
+    # {a,b,c} at nullity 1 contains the nullity-1 cyclic sets {a,b}, ...
+    cyclic_sets = Matroid.cyclic_sets
+
+    def tampered(self, nullity=None):
+        fam = cyclic_sets(self, nullity)
+        return SetFamily(fam.members + (0b111,)) if nullity == 1 else fam
+
+    monkeypatch.setattr(Matroid, "cyclic_sets", tampered)
+    with pytest.raises(ConstructionFailure) as info:
+        remark_circuits(u13, f3, 1)
+    monkeypatch.undo()
+    assert str(info.value).splitlines()[0] == "stage-1 family is not an antichain"
+    docs, extra = replay_dump(info.value.dump)
+    assert docs == {"M": u13, "L": f3}
+    assert extra == ["labels ", "{{a,b}, {a,c}, {b,c}, {a,b,c}}"]
