@@ -261,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual", help="print the dual matroid")
     p.add_argument("file")
-    p.add_argument("--name", help="name for the output document")
+    p.add_argument("--name", help="name for the output document, [A-Za-z0-9_]+")
     p.set_defaults(handler=_cmd_dual)
 
     p = sub.add_parser("minor", help="delete and/or contract labels")
     p.add_argument("file")
     p.add_argument("--delete", help="comma-separated labels to delete")
     p.add_argument("--contract", help="comma-separated labels to contract")
-    p.add_argument("--name", help="name for the output document")
+    p.add_argument("--name", help="name for the output document, [A-Za-z0-9_]+")
     p.set_defaults(handler=_cmd_minor)
 
     p = sub.add_parser("cyclic-sets", help="list unions of circuits")

@@ -11,9 +11,10 @@ non-empty set of new elements, and nullity(A) + |Z| = s + 1.
 The construction is checked, not trusted: the candidate family must pass the
 strong circuit axioms and verify_pair must find both minors equal to the
 operands, otherwise ConstructionFailure is raised. factor_homotopy builds
-single-step quotients from the closed-form stage families without N (the
-Higgs factorization), or reads them off a verified witness if given one, and
-raises FactorizationFailure if a stage fails its rank or certify check.
+its chain of single-step quotients from the closed-form stage families (the
+Higgs factorization), never from N, and raises FactorizationFailure if a
+stage fails its rank or certify check. N's minors are what that closed form
+is checked against: remark_comparison reads them stage by stage.
 
 The checked statements (span witness, cyclic extension and elimination, the
 rooted base family, the high-nullity dependence check) power the sweep
@@ -201,9 +202,7 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
     x_members = []
     for c in range(1, s + 1):
         z_masks = [zm << e_size for zm in masks_of_size(s, s + 1 - c)]
-        for a_set in m.cyclic_sets(nullity=c):
-            if not l.is_independent(a_set):
-                continue
+        for a_set in _free_cyclic_sets(m, l, c):
             for zm in z_masks:
                 x_members.append(a_set | zm)
 
@@ -275,9 +274,6 @@ class HomotopySequence:
 
     steps: tuple[Matroid, ...]
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def factor_homotopy(
     m: Matroid,
@@ -287,26 +283,23 @@ def factor_homotopy(
 ) -> HomotopySequence:
     """Split a certified pair into elementary quotient steps.
 
-    The ends are m and l. Without a ``witness``, no N is built: the labels
-    are checked as ``lift_witness`` checks them, and middle stage i, of rank
-    min(r_l(A), r_m(A) + i), is the closed-form family at i + 1 built through
-    the checking constructor. A ``witness`` for the same operands, its labels
-    ``x_labels`` up to order, supplies middle stage i instead: N minus the
-    first i new elements, contracted by the rest. Every stage must gain one
+    The ends are m and l, and middle stage i, of rank min(r_l(A), r_m(A) + i),
+    is the closed-form family at i + 1 built through the checking
+    constructor; no N is built or read. Without a ``witness`` the labels are
+    checked as ``lift_witness`` checks them. A ``witness`` for the same
+    operands, its labels ``x_labels`` up to order, stands for those checks.
+    The chain does not depend on the label order. Every stage must gain one
     rank and consecutive stages must certify, else FactorizationFailure.
     """
     labels = tuple(x_labels)
     k = len(labels)
     if witness is None:
         _lift_inputs(m, l, labels)
-        middle = [Matroid(m.ground, _remark_family(m, l, i + 1)) for i in range(1, k)]
     elif witness.m != m or witness.l != l:
         raise PreconditionFailure("witness endpoints do not match the operands")
     elif sorted(witness.x_labels) != sorted(labels):
         raise PreconditionFailure("witness labels do not match the given order")
-    else:
-        mask_of = witness.n.ground.mask_of
-        middle = [_stage(witness, mask_of(labels[:i])) for i in range(1, k)]
+    middle = [Matroid(m.ground, _remark_family(m, l, i + 1)) for i in range(1, k)]
     steps = (m, *middle, l)
     base = m.rank()
     for i, stage in enumerate(steps):
@@ -356,13 +349,15 @@ def remark_circuits(m: Matroid, l: Matroid, j: int) -> tuple[SetFamily, AxiomRep
     return fam, check_circuit_axioms(m.ground, fam, strong=True)
 
 
+def _free_cyclic_sets(m: Matroid, l: Matroid, j: int) -> list[int]:
+    """The non-empty cyclic sets of m of nullity j that are independent in l."""
+    return [a for a in m.cyclic_sets(nullity=j) if a and l.is_independent(a)]
+
+
 def _remark_family(m: Matroid, l: Matroid, j: int) -> SetFamily:
     """The closed-form stage-j family, checked to be an antichain."""
     c_part = [c for c in l.circuits if m.nullity(c) <= j]
-    a_part = [
-        a for a in m.cyclic_sets(nullity=j) if a != 0 and l.is_independent(a)
-    ]
-    fam = SetFamily(c_part + a_part)
+    fam = SetFamily(c_part + _free_cyclic_sets(m, l, j))
     if minimal_members(fam) != fam:
         raise ConstructionFailure(
             f"stage-{j} family is not an antichain",
@@ -386,23 +381,28 @@ class RemarkRow:
 def remark_comparison(
     m: Matroid, l: Matroid, witness: Optional[LiftWitness] = None
 ) -> list[RemarkRow]:
-    """Compare N's minors with the closed-form route of ``factor_homotopy``.
+    """Compare N's minors with the closed-form stages of ``factor_homotopy``.
 
-    The chain is read off the lift witness N, ``witness`` or one built here.
-    For every stage i its circuits are compared against the closed-form
-    family at index i+1 (the shifted reading, the one ``factor_homotopy``
-    builds without a witness) and at index i (the literal reading). Nothing
-    is asserted here; callers decide what agreement to require.
+    This is where the closed form is cross-checked: stage i is read off the
+    lift witness N, ``witness`` or one built here, as N minus its first i
+    new elements, contracted by the rest. Its circuits are compared against
+    the closed-form family at index i+1 (the shifted reading, the stage
+    ``factor_homotopy`` builds) and at index i (the literal reading). A
+    ``witness`` for other operands raises PreconditionFailure. Nothing is
+    asserted here; callers decide what agreement to require.
     """
-    s = (witness.certificate if witness else _certified(m, l)).step_s
-    if s < 1:
-        raise RankMismatch("comparison needs rank step >= 1")
     if witness is None:
+        s = _certified(m, l).step_s
+        if s < 1:
+            raise RankMismatch("comparison needs rank step >= 1")
         witness = lift_witness(m, l, fresh_labels(m.ground, s))
-    chain = factor_homotopy(m, l, witness.x_labels, witness=witness)
+    elif witness.m != m or witness.l != l:
+        raise PreconditionFailure("witness endpoints do not match the operands")
+    e, s = len(m.ground), len(witness.x_labels)  # the new labels follow the ground
+    stages = [m, *(_stage(witness, ((1 << i) - 1) << e) for i in range(1, s)), l]
     families = [_remark_family(m, l, j) for j in range(s + 2)]
     rows = []
-    for i, stage in enumerate(chain.steps):
+    for i, stage in enumerate(stages):
         actual = stage.circuits
         shifted = families[i + 1]
         literal = families[i]

@@ -382,10 +382,9 @@ def lattice_stages(w: quotient.LiftWitness) -> list[Matroid]:
     """Stage D of the witness for every subset D of its new labels, by bitmask
     (bit k stands for ``w.x_labels[k]``): N minus D, contracted by the rest.
 
-    That is the stage ``factor_homotopy`` reads off a supplied witness for
-    the first |D| labels of an order, with ``quotient._stage`` too; without
-    one it builds the closed-form family at |D| + 1. Stage 0 is m and the
-    full stage is l.
+    These minors of N are what the closed-form chain of ``factor_homotopy``
+    is checked against: its stage after the first |D| labels of any order
+    must equal stage D. Stage 0 is m and the full stage is l.
     """
     e = len(w.m.ground)  # the new labels follow the ground, in order
     middle = range(1, (1 << len(w.x_labels)) - 1)
@@ -397,10 +396,10 @@ def homotopy_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     every ordering of the new elements; each stage is order-free.
 
     The chains of all orderings are the maximal chains of the lattice of
-    subsets D of the new labels, so each cover D < D + x is checked once:
-    the rank rises by one and the pair certifies. Every stage D must also
-    equal the closed-form family at |D| + 1, the stage ``factor_homotopy``
-    builds without a witness, so a passing pair is order-free.
+    subsets D of the new labels. Every stage D must equal the closed-form
+    family at |D| + 1, so the chain of every ordering is the one closed-form
+    chain, and ``factor_homotopy`` checks that chain once: each stage gains
+    one rank and consecutive stages certify.
     """
     t0 = time.perf_counter()
     pairs = 0
@@ -408,26 +407,21 @@ def homotopy_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
         if len(w.x_labels) < 2:
             continue
         pairs += 1
-        stages = lattice_stages(w)
-        covers = [(d, k) for d in range(len(stages)) for k in range(len(w.x_labels))
-                  if not d >> k & 1]
-        for d, k in covers:
-            lower, upper = stages[d], stages[d | 1 << k]
-            stepped = upper.rank() == lower.rank() + 1  # then certifying cannot raise
-            if not (stepped and quotient.certify_quotient(lower, upper).holds):
-                return _outcome(
-                    "homotopy", t0, False,
-                    f"factorization failed for {w.m!r}, {w.l!r} "
-                    f"adding {w.x_labels[k]} to stage {d:#b}",
-                )
         families = [quotient._remark_family(w.m, w.l, j + 1) for j in range(len(w.x_labels) + 1)]
-        for d, st in enumerate(stages):
+        for d, st in enumerate(lattice_stages(w)):
             if st.circuits != families[d.bit_count()]:
                 return _outcome(
                     "homotopy", t0, False,
                     f"stage {d:#b} of {w.m!r}, {w.l!r} differs from the "
                     f"closed-form family at {d.bit_count() + 1}",
                 )
+        try:
+            quotient.factor_homotopy(w.m, w.l, w.x_labels, witness=w)
+        except MatliftError as exc:
+            return _outcome(
+                "homotopy", t0, False,
+                f"factorization failed for {w.m!r}, {w.l!r}: {str(exc).splitlines()[0]}",
+            )
     details = (
         f"{pairs} pairs with step >= 2 factor under every ordering; "
         f"stages order-independent for {pairs}, order-dependent for 0"

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionFailure
 from .matroid import Matroid
 from .sets import LABEL_RE, GroundSet, SetFamily, bit_indices, default_ground
 
@@ -119,7 +119,10 @@ def parse_matroid_text(text: str) -> Matroid:
 
 
 def serialize_matroid_text(m: Matroid, name: Optional[str] = None) -> str:
-    """Canonical text for a matroid (parse of the result gives ``m`` back)."""
+    """Canonical text for a matroid (parse of the result gives ``m`` back);
+    a ``name`` the parser would reject raises PreconditionFailure."""
+    if name and not LABEL_RE.fullmatch(name):
+        raise PreconditionFailure(f"bad document name {name!r}: names match [A-Za-z0-9_]+")
     lines = [f"matroid {name}" if name else "matroid"]
     lines.append("ground " + " ".join(m.ground.labels))
     for c in m.circuits:

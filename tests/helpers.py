@@ -46,6 +46,14 @@ def brute_higgs_rank(m: Matroid, l: Matroid, i: int, a: int) -> int:
     return min(brute_rank(l, a), brute_rank(m, a) + i)
 
 
+def brute_lift_rank(m: Matroid, l: Matroid, s: int, a: int, y_size: int) -> int:
+    """Rank of ``a`` plus ``y_size`` new elements in the lift witness N of the
+    quotient (m, l) with rank step ``s``: min(r_l(a) + |Y|, r_m(a) + s), both
+    ranks by brute force. Contracting the other s - |Y| new elements gives
+    ``brute_higgs_rank`` at stage |Y|."""
+    return min(brute_rank(l, a) + y_size, brute_rank(m, a) + s)
+
+
 def brute_bases(m: Matroid) -> list[int]:
     n = len(m.ground)
     r = brute_rank(m)

@@ -51,6 +51,18 @@ def test_dual_output_parses(files, capsys):
     assert parse_matroid_text(out).circuits.members == (0b111,)
 
 
+def test_dual_name_must_round_trip(files, tmp_path, capsys):
+    out = tmp_path / "named.txt"
+    assert run_command(["dual", files["u13"], "--name", "my_dual"]) == 0
+    out.write_text(capsys.readouterr().out)
+    assert run_command(["rank", str(out)]) == 0
+    capsys.readouterr()
+    for name in ("my-dual", "two words"):
+        assert run_command(["dual", files["u13"], "--name", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad document name" in captured.err
+
+
 def test_dual_refuses_large_ground(tmp_path, capsys):
     path = tmp_path / "free24.txt"
     path.write_text("matroid free24\nground " + " ".join(f"e{i}" for i in range(24)) + "\nend\n")

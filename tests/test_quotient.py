@@ -2,6 +2,7 @@
 and the per-matroid checked statements, on hand-worked instances."""
 
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -43,6 +44,7 @@ from helpers import (
     brute_cyclic_sets_by_nullity,
     brute_higgs_rank,
     brute_independent,
+    brute_lift_rank,
     brute_rank,
     mk,
     replay_dump,
@@ -184,6 +186,19 @@ def test_witness_family_matches_the_brute_force_construction(basis_catalogs):
         assert w.n == Matroid(w.n.ground, expected)
 
 
+def test_witness_rank_is_the_closed_form(basis_catalogs):
+    # r_N(A + Y) = min(r_L(A) + |Y|, r_M(A) + s) for every A on the ground
+    # and every set Y of new elements
+    checks = 0
+    for w in catalog_witnesses(basis_catalogs, 4):
+        e, s = len(w.m.ground), len(w.x_labels)
+        for a in range(1 << e):
+            for y in range(1 << s):
+                assert w.n.rank(a | y << e) == brute_lift_rank(w.m, w.l, s, a, y.bit_count())
+                checks += 1
+    assert checks == 25988
+
+
 # ------------------------------------------------------------- verification
 
 
@@ -226,10 +241,16 @@ def test_factor_is_order_independent_here(u13, f3):
     assert a.steps == b.steps
 
 
-def test_factor_reuses_a_supplied_witness(u13, f3):
+def test_factor_reuses_a_supplied_witness(u13, u23, f3, monkeypatch):
+    # a supplied witness stands for the label checks only; the chain is the
+    # closed form all the same
     w = lift_witness(u13, f3, ("x1", "x2"))
-    chain = factor_homotopy(u13, f3, ("x2", "x1"), witness=w)
-    assert chain.steps[0] == u13 and chain.steps[-1] == f3
+
+    def refuse(*args):
+        raise AssertionError("_stage called")
+
+    monkeypatch.setattr(quotient, "_stage", refuse)
+    assert factor_homotopy(u13, f3, ("x2", "x1"), witness=w).steps == (u13, u23, f3)
 
 
 def test_factor_single_step_is_the_pair(u13, u23):
@@ -249,20 +270,26 @@ def test_factor_compares_witness_labels_as_a_multiset(u13, u23):
         factor_homotopy(u13, u23, ("x1", "x1"), witness=w)
 
 
+def _prefix_stages(w, stages, order):
+    """N's minors along ``order``, read off ``stages = lattice_stages(w)``:
+    stage i deletes the first i labels of the order and contracts the rest."""
+    return tuple(stages[sum(1 << w.x_labels.index(x) for x in order[:i])]
+                 for i in range(len(order) + 1))
+
+
 def test_factor_stages_are_witness_minors(basis_catalogs):
     # the chain ends are the operands themselves; here they are checked
-    # against the witness minors like every middle stage, and every chain
-    # runs through the subset-lattice stages of its label prefixes
+    # against the witness minors like every middle stage, and the lattice
+    # stages are the minors taken directly
     for w in catalog_witnesses(basis_catalogs, 3):
         stages = lattice_stages(w)
         assert len(stages) == 1 << len(w.x_labels)
         for order in permutations(w.x_labels):
             chain = factor_homotopy(w.m, w.l, order, witness=w)
-            assert len(chain) == len(order) + 1
+            assert chain.steps == _prefix_stages(w, stages, order)
             for i, stage in enumerate(chain.steps):
                 rest = contract(w.n, w.n.ground.mask_of(order[i:]))
                 assert stage == delete(rest, rest.ground.mask_of(order[:i]))
-                assert stage == stages[sum(1 << w.x_labels.index(x) for x in order[:i])]
 
 
 def test_factor_without_a_witness_builds_none(u13, u23, f3, monkeypatch):
@@ -274,19 +301,37 @@ def test_factor_without_a_witness_builds_none(u13, u23, f3, monkeypatch):
 
 
 def test_formula_route_equals_witness_route_on_the_catalogs(basis_catalogs):
-    # every n <= 4 witness under every label order
+    # every n <= 4 witness under every label order: the closed-form chain is
+    # N's minors along that order
     chains = 0
     for w in catalog_witnesses(basis_catalogs, 4):
+        stages = lattice_stages(w)
         for order in permutations(w.x_labels):
-            formula = factor_homotopy(w.m, w.l, order)
-            assert formula.steps == factor_homotopy(w.m, w.l, order, witness=w).steps
+            assert factor_homotopy(w.m, w.l, order).steps == _prefix_stages(w, stages, order)
             chains += 1
     assert chains == 931
 
 
+def test_formula_route_equals_witness_route_on_sampled_n5_pairs(basis_catalogs):
+    # a seeded sample of the n = 5 pairs with step >= 2: every lattice stage
+    # D of N is the closed-form chain's stage |D|
+    cat = basis_catalogs[5]
+    pairs = sorted(p for p, s in cat.certified.items() if s >= 2)
+    assert Counter(cat.certified[p] for p in pairs) == {2: 3444, 3: 898, 4: 62, 5: 1}
+    stages = 0
+    for i, j in random.Random(20261018).sample(pairs, 200):
+        m, l = cat.entries[i], cat.entries[j]
+        w = lift_witness(m, l, fresh_labels(cat.ground, cat.certified[(i, j)]))
+        chain = factor_homotopy(m, l, w.x_labels, witness=w)
+        for d, stage in enumerate(lattice_stages(w)):
+            assert stage == chain.steps[d.bit_count()]
+            stages += 1
+    assert stages == 1012
+
+
 def test_formula_route_is_the_higgs_factorization_on_random_pairs():
-    # stage i has rank min(r_L(A), r_M(A) + i) on every A, and both routes
-    # give the same chain
+    # stage i has rank min(r_L(A), r_M(A) + i) on every A, and the chain is
+    # N's minors along the reversed label order
     rng = random.Random(20261018)
     lifted = middle = 0
     for k in range(24):
@@ -298,7 +343,7 @@ def test_formula_route_is_the_higgs_factorization_on_random_pairs():
         labels = fresh_labels(m.ground, s)
         chain = factor_homotopy(m, l, labels)
         w = lift_witness(m, l, labels)
-        assert chain.steps == factor_homotopy(m, l, labels[::-1], witness=w).steps
+        assert chain.steps == _prefix_stages(w, lattice_stages(w), labels[::-1])
         for i, stage in enumerate(chain.steps[1:-1], start=1):
             middle += 1
             for a in range(1 << len(m.ground)):
@@ -310,6 +355,17 @@ def test_homotopy_sweep_fails_on_a_stage_off_the_closed_form(basis_catalogs, ske
     out = homotopy_sweep(3, basis_catalogs)
     assert not out.ok
     assert "stage 0b1 of" in out.details and "closed-form family at 2" in out.details
+
+
+def test_homotopy_sweep_fails_on_a_chain_that_does_not_factor(basis_catalogs, monkeypatch):
+    # every stage equals the closed form, and the one chain check still runs
+    def refuse(m, l, labels, witness=None):
+        raise FactorizationFailure("stage 1 has rank 3, expected 2")
+
+    monkeypatch.setattr(quotient, "factor_homotopy", refuse)
+    out = homotopy_sweep(3, basis_catalogs)
+    assert not out.ok
+    assert "factorization failed for" in out.details and "stage 1 has rank 3" in out.details
 
 
 # ----------------------------------------------------------- stage families
@@ -353,7 +409,7 @@ def test_remark_comparison_shifted_reading_wins(u13, u23, f3):
             assert row.minor_circuits == row.shifted
 
 
-def test_remark_comparison_rows_are_the_closed_forms(basis_catalogs, u13, u23):
+def test_remark_comparison_rows_are_the_closed_forms(basis_catalogs, u13, u23, f3):
     for w in catalog_witnesses(basis_catalogs, 3):
         m, l = w.m, w.l
         rows = remark_comparison(m, l)
@@ -366,6 +422,8 @@ def test_remark_comparison_rows_are_the_closed_forms(basis_catalogs, u13, u23):
         remark_comparison(u13, u13)
     with pytest.raises(QuotientViolation):
         remark_comparison(u23, u13)
+    with pytest.raises(PreconditionFailure, match="witness endpoints"):
+        remark_comparison(u13, f3, witness=lift_witness(u13, u23, ("x",)))
 
 
 def test_remark_comparison_reads_the_witness_route(u13, f3, monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from matlift.errors import ParseError
+from matlift.errors import ParseError, PreconditionFailure
 from matlift.enumeration import enumerate_matroids
 from matlift.textio import (
     catalog_line,
@@ -47,6 +47,12 @@ def test_serialize_then_parse_is_identity(u13, u23, f3, loops2):
     for m in (u13, u23, f3, loops2):
         assert parse_matroid_text(serialize_matroid_text(m)) == m
         assert parse_matroid_text(serialize_matroid_text(m, "named")) == m
+
+
+@pytest.mark.parametrize("name", ["my-dual", "two words", "a#b"])
+def test_serialize_refuses_a_name_the_parser_rejects(u13, name):
+    with pytest.raises(PreconditionFailure, match="bad document name"):
+        serialize_matroid_text(u13, name)
 
 
 def test_serialized_form_is_canonical(u13):
