@@ -21,7 +21,7 @@ from .enumeration import enumerate_matroids, pair_records
 from .errors import CheckFailure, LabelClash, MatliftError, QuotientViolation
 from .matroid import Matroid
 from .minors import contract, delete
-from .sets import GroundSet, SetFamily
+from .sets import GroundSet, SetFamily, fresh_labels
 from .sweeps import SweepConfig
 from .textio import (
     catalog_line,
@@ -178,8 +178,8 @@ def _cmd_remark(args) -> int:
     m = _load(args.m_file)
     l = _load(args.l_file)
     if args.compare:
-        rows = quotient.remark_comparison(m, l)
-        for row in rows:
+        w = quotient.lift_witness(m, l, fresh_labels(m.ground, l.rank() - m.rank()))
+        for row in quotient.remark_comparison(w):
             print(
                 f"stage {row.i}: minor has {len(row.minor_circuits)} circuits; "
                 f"shifted form {'agrees' if row.shifted_agrees else 'differs'}, "

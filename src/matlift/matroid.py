@@ -183,7 +183,9 @@ class Matroid:
     # ------------------------------------------------------------ bases, dual
 
     def bases(self) -> SetFamily:
-        """All bases, as the r-subsets that contain no circuit."""
+        """All bases, as the r-subsets that contain no circuit. The scan visits
+        C(n, r) masks, so ground sets above ``SUBSET_TABLE_CAP`` are refused first."""
+        require_subset_table(self.ground)
         circuits = self.circuits.members
         return SetFamily(
             b
@@ -196,8 +198,8 @@ class Matroid:
 
         Its circuits are read off those complements by ``circuits_of_bases``.
         No exchange check runs on the complements, since duality implies it;
-        the constructor checks the circuits. The basis scan visits C(n, r)
-        masks, so ground sets above ``SUBSET_TABLE_CAP`` are refused first.
+        the constructor checks the circuits. ``bases`` refuses ground sets
+        above ``SUBSET_TABLE_CAP``.
 
         The result is built once and kept on this matroid. It does not point
         back, so ``m.dual().dual()`` builds a second dual and compares fresh.
@@ -206,7 +208,6 @@ class Matroid:
             return self._dual
         except AttributeError:
             pass
-        require_subset_table(self.ground)
         full = self.ground.full_mask
         complements = [full & ~b for b in self.bases()]
         self._dual = Matroid(self.ground, circuits_of_bases(self.ground, complements))

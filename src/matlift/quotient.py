@@ -13,8 +13,8 @@ strong circuit axioms and verify_pair must find both minors equal to the
 operands, otherwise ConstructionFailure is raised. factor_homotopy builds
 its chain of single-step quotients from the closed-form stage families (the
 Higgs factorization), never from N, and raises FactorizationFailure if a
-stage fails its rank or certify check. N's minors are what that closed form
-is checked against: remark_comparison reads them stage by stage.
+stage fails its rank or certify check. N's minors, ``LiftWitness.stage``,
+are what that closed form is checked against, in remark_comparison.
 
 The checked statements (span witness, cyclic extension and elimination, the
 rooted base family, the high-nullity dependence check) power the sweep
@@ -43,7 +43,7 @@ from .errors import (
 from .matroid import FundamentalFamily, Matroid
 from .minors import contract, delete
 from .sets import (
-    GroundSet, SetFamily, bit_indices, fresh_labels, masks_of_size, minimal_members, submasks,
+    GroundSet, SetFamily, bit_indices, masks_of_size, minimal_members, submasks,
 )
 from .textio import dump_text
 
@@ -142,23 +142,33 @@ def _certified(m: Matroid, l: Matroid) -> QuotientCertificate:
 
 @dataclass
 class LiftWitness:
-    """Verified extension matroid realizing a certified pair.
+    """Extension matroid ``n`` realizing the certified pair (``m``, ``l``).
 
-    ``n`` lives on the ground set of ``m`` extended by ``x_labels``.
-    ``verified`` records that both minors of ``n`` were checked against the
-    operands and the circuit family is exactly the constructed one.
+    ``n`` lives on the ground set of ``m`` extended by ``x_labels``, which
+    follow the ground in order. A witness exists only once ``lift_witness``
+    has checked that contracting the new elements gives ``m`` and deleting
+    them gives ``l``; the rank step is ``len(x_labels)``.
     """
 
     m: Matroid
     l: Matroid
     n: Matroid
     x_labels: tuple[str, ...]
-    certificate: QuotientCertificate
-    verified: bool
 
-    @property
-    def x_mask(self) -> int:
-        return self.n.ground.full_mask & ~self.m.ground.full_mask
+    def stage(self, deleted: int) -> Matroid:
+        """``n`` minus the new elements in ``deleted``, contracted by the others.
+
+        Bit k of ``deleted`` stands for ``x_labels[k]``; ``stage(0)`` returns
+        ``m`` and the full mask ``l``. Minors on disjoint sets commute, and
+        deleting first leaves a smaller matroid to contract.
+        """
+        if deleted == 0:
+            return self.m
+        if deleted == (1 << len(self.x_labels)) - 1:
+            return self.l
+        e = len(self.m.ground)
+        rest = delete(self.n, deleted << e)
+        return contract(rest, rest.ground.full_mask >> e << e)
 
 
 def _dump(m: Matroid, l: Matroid, labels: Sequence[str], *extra: str) -> str:
@@ -217,7 +227,7 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
     check = verify_pair(n, big.full_mask & ~m.ground.full_mask, m, l)
     if not check.ok:
         raise ConstructionFailure(check.describe(), _dump(m, l, labels, dump_text(("N", n))))
-    return LiftWitness(m, l, n, labels, outcome, True)
+    return LiftWitness(m, l, n, labels)
 
 
 # ---------------------------------------------------------------- verify_pair
@@ -317,18 +327,6 @@ def factor_homotopy(
     return HomotopySequence(steps)
 
 
-def _stage(witness: LiftWitness, deleted: int) -> Matroid:
-    """The witness minus the new elements in mask ``deleted``, contracted by
-    the other new elements.
-
-    Minors on disjoint sets commute; deleting first leaves a smaller matroid
-    to contract. ``deleted`` must be a mask of new elements of ``witness.n``.
-    """
-    e = len(witness.m.ground)  # the new elements follow the ground, in order
-    stage = delete(witness.n, deleted)
-    return contract(stage, stage.ground.full_mask >> e << e)
-
-
 # ------------------------------------------------------------ remark families
 
 
@@ -378,32 +376,22 @@ class RemarkRow:
     literal_agrees: bool
 
 
-def remark_comparison(
-    m: Matroid, l: Matroid, witness: Optional[LiftWitness] = None
-) -> list[RemarkRow]:
+def remark_comparison(witness: LiftWitness) -> list[RemarkRow]:
     """Compare N's minors with the closed-form stages of ``factor_homotopy``.
 
-    This is where the closed form is cross-checked: stage i is read off the
-    lift witness N, ``witness`` or one built here, as N minus its first i
-    new elements, contracted by the rest. Its circuits are compared against
-    the closed-form family at index i+1 (the shifted reading, the stage
-    ``factor_homotopy`` builds) and at index i (the literal reading). A
-    ``witness`` for other operands raises PreconditionFailure. Nothing is
-    asserted here; callers decide what agreement to require.
+    This is where the closed form is cross-checked: stage i is
+    ``witness.stage`` with the first i new labels deleted. Its circuits are
+    compared against the closed-form family at index i+1 (the shifted
+    reading, the stage ``factor_homotopy`` builds) and at index i (the
+    literal reading). The witness was checked when it was built, so the
+    pair is not certified again. Nothing is asserted here; callers decide
+    what agreement to require.
     """
-    if witness is None:
-        s = _certified(m, l).step_s
-        if s < 1:
-            raise RankMismatch("comparison needs rank step >= 1")
-        witness = lift_witness(m, l, fresh_labels(m.ground, s))
-    elif witness.m != m or witness.l != l:
-        raise PreconditionFailure("witness endpoints do not match the operands")
-    e, s = len(m.ground), len(witness.x_labels)  # the new labels follow the ground
-    stages = [m, *(_stage(witness, ((1 << i) - 1) << e) for i in range(1, s)), l]
+    m, l, s = witness.m, witness.l, len(witness.x_labels)
     families = [_remark_family(m, l, j) for j in range(s + 2)]
     rows = []
-    for i, stage in enumerate(stages):
-        actual = stage.circuits
+    for i in range(s + 1):
+        actual = witness.stage((1 << i) - 1).circuits
         shifted = families[i + 1]
         literal = families[i]
         rows.append(

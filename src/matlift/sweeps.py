@@ -194,7 +194,7 @@ def witness_oracle_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
                 f"disagreement on {cat.entries[i]!r}, {cat.entries[j]!r}: certified with step"
                 f" <= 1={(i, j) in realizable}, lifts found={len(buckets.get((i, j), []))}"))
         for p, w in cat.witnesses.items():
-            if w.certificate.step_s == 1 and w.n not in buckets[p]:
+            if len(w.x_labels) == 1 and w.n not in buckets[p]:
                 return _outcome("witness-oracle", t0, False,
                                 f"constructed witness not found by scan for {w.m!r}, {w.l!r}")
         ranks = [m.rank() for m in cat.entries]
@@ -379,27 +379,25 @@ def lemma_randomized_sweep(config: Optional[SweepConfig] = None) -> SweepOutcome
 
 
 def lattice_stages(w: quotient.LiftWitness) -> list[Matroid]:
-    """Stage D of the witness for every subset D of its new labels, by bitmask
-    (bit k stands for ``w.x_labels[k]``): N minus D, contracted by the rest.
+    """``w.stage(d)`` for every subset d of the new labels, by bitmask.
 
     These minors of N are what the closed-form chain of ``factor_homotopy``
-    is checked against: its stage after the first |D| labels of any order
-    must equal stage D. Stage 0 is m and the full stage is l.
+    is checked against: its stage after the first |d| labels of any order
+    must equal stage d.
     """
-    e = len(w.m.ground)  # the new labels follow the ground, in order
-    middle = range(1, (1 << len(w.x_labels)) - 1)
-    return [w.m, *(quotient._stage(w, d << e) for d in middle), w.l]
+    return [w.stage(d) for d in range(1 << len(w.x_labels))]
 
 
 def homotopy_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Factorization validity for every certified pair with step >= 2 under
     every ordering of the new elements; each stage is order-free.
 
-    The chains of all orderings are the maximal chains of the lattice of
-    subsets D of the new labels. Every stage D must equal the closed-form
-    family at |D| + 1, so the chain of every ordering is the one closed-form
-    chain, and ``factor_homotopy`` checks that chain once: each stage gains
-    one rank and consecutive stages certify.
+    ``factor_homotopy`` builds and checks the one closed-form chain: each
+    stage gains one rank and consecutive stages certify. The chains of all
+    orderings are the maximal chains of the lattice of subsets D of the new
+    labels; every stage D must equal the chain's stage |D|, so every
+    ordering gives that chain. Its ends are the operands, which the
+    remark comparison's shifted tally checks against families 1 and s + 1.
     """
     t0 = time.perf_counter()
     pairs = 0
@@ -407,21 +405,19 @@ def homotopy_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
         if len(w.x_labels) < 2:
             continue
         pairs += 1
-        families = [quotient._remark_family(w.m, w.l, j + 1) for j in range(len(w.x_labels) + 1)]
-        for d, st in enumerate(lattice_stages(w)):
-            if st.circuits != families[d.bit_count()]:
-                return _outcome(
-                    "homotopy", t0, False,
-                    f"stage {d:#b} of {w.m!r}, {w.l!r} differs from the "
-                    f"closed-form family at {d.bit_count() + 1}",
-                )
         try:
-            quotient.factor_homotopy(w.m, w.l, w.x_labels, witness=w)
+            chain = quotient.factor_homotopy(w.m, w.l, w.x_labels, witness=w)
         except MatliftError as exc:
             return _outcome(
                 "homotopy", t0, False,
                 f"factorization failed for {w.m!r}, {w.l!r}: {str(exc).splitlines()[0]}",
             )
+        for d, st in enumerate(lattice_stages(w)):
+            if st != chain.steps[d.bit_count()]:
+                return _outcome(
+                    "homotopy", t0, False,
+                    f"stage {d:#b} of {w.m!r}, {w.l!r} differs from chain stage {d.bit_count()}",
+                )
     details = (
         f"{pairs} pairs with step >= 2 factor under every ordering; "
         f"stages order-independent for {pairs}, order-dependent for 0"
@@ -445,7 +441,7 @@ def remark_comparison_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     per_stage: dict[int, list[int]] = {}
     for w in catalog_witnesses(catalogs, max_n):
         pairs += 1
-        for row in quotient.remark_comparison(w.m, w.l, witness=w):
+        for row in quotient.remark_comparison(w):
             rows += 1
             bucket = per_stage.setdefault(row.i, [0, 0, 0])
             bucket[0] += 1

@@ -19,7 +19,8 @@ Catalog flat files carry one matroid per line::
 
     n=<int>;rank=<int>;circuits=<c1>|<c2>|...
 
-where each circuit is the concatenation of its element indices in hex and a
+where each circuit is the concatenation of its element indices, one hex
+digit each, so catalogs hold at most ``CATALOG_MAX_N`` = 16 elements, and a
 matroid with no circuits writes ``-``. Pair catalogs carry one ordered pair
 per line::
 
@@ -32,7 +33,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import ParseError, PreconditionFailure
+from .errors import GroundTooLarge, ParseError, PreconditionFailure
 from .matroid import Matroid
 from .sets import LABEL_RE, GroundSet, SetFamily, bit_indices, default_ground
 
@@ -139,12 +140,19 @@ def dump_text(*named: tuple[str, Matroid], extra: Iterable[str] = ()) -> str:
 
 # ------------------------------------------------------------ catalog format
 
+CATALOG_MAX_N = 16  # one hex digit per element index
+
 
 def _circuit_hex(mask: int) -> str:
     return "".join(format(i, "x") for i in bit_indices(mask))
 
 
 def catalog_line(m: Matroid) -> str:
+    """The catalog line of ``m``; GroundTooLarge above ``CATALOG_MAX_N``."""
+    if len(m.ground) > CATALOG_MAX_N:
+        raise GroundTooLarge(
+            f"{len(m.ground)} elements: catalog lines hold at most {CATALOG_MAX_N}"
+        )
     circ = "|".join(_circuit_hex(c) for c in m.circuits) or "-"
     return f"n={len(m.ground)};rank={m.rank()};circuits={circ}"
 
@@ -159,6 +167,8 @@ def parse_catalog_line(line: str, lineno: int = 1) -> tuple[int, int, SetFamily]
         rank = int(_field(parts[1], "rank", lineno))
     except ValueError:
         raise ParseError("non-integer n or rank", lineno) from None
+    if n > CATALOG_MAX_N:
+        raise ParseError(f"n={n}: catalog lines hold at most {CATALOG_MAX_N} elements", lineno)
     circ_text = _field(parts[2], "circuits", lineno)
     masks = []
     if circ_text != "-":

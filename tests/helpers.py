@@ -2,13 +2,15 @@
 
 Everything here recomputes matroid quantities from first principles
 (independence = contains no circuit), with no shortcuts shared with the
-implementation under test. ``replay_dump`` reads a failure dump back.
+implementation under test. ``replay_dump`` reads a failure dump back, and
+``lift`` builds the witness of a pair on fresh labels.
 """
 
 from itertools import combinations
 
 from matlift.matroid import Matroid
-from matlift.sets import GroundSet, SetFamily, default_ground
+from matlift.quotient import LiftWitness, lift_witness
+from matlift.sets import GroundSet, SetFamily, default_ground, fresh_labels
 from matlift.textio import parse_matroid_text
 
 
@@ -20,6 +22,11 @@ def mk(n_or_labels, *circuit_labels) -> Matroid:
         ground = GroundSet(n_or_labels)
     masks = [ground.mask_of(tuple(word)) for word in circuit_labels]
     return Matroid(ground, masks)
+
+
+def lift(m: Matroid, l: Matroid) -> LiftWitness:
+    """The lift witness of the certified pair (m, l), on fresh labels."""
+    return lift_witness(m, l, fresh_labels(m.ground, l.rank() - m.rank()))
 
 
 def brute_independent(circuits: SetFamily, mask: int) -> bool:
@@ -94,6 +101,21 @@ def brute_closure(m: Matroid, a: int) -> int:
         if not a & bit and brute_rank(m, a | bit) == r:
             out |= bit
     return out
+
+
+def brute_flats(m: Matroid) -> set[int]:
+    """The flats of m: the sets that every outside element raises in rank.
+    Ranks come from a table over all subsets, each set's rank its size if it
+    contains no circuit, else the largest rank of its one-smaller subsets."""
+    n = len(m.ground)
+    rank = [0] * (1 << n)
+    for a in range(1, 1 << n):
+        if brute_independent(m.circuits, a):
+            rank[a] = a.bit_count()
+        else:
+            rank[a] = max(rank[a & ~(1 << i)] for i in range(n) if a >> i & 1)
+    return {a for a in range(1 << n)
+            if all(rank[a | 1 << i] > rank[a] for i in range(n) if not a >> i & 1)}
 
 
 def brute_cyclic_sets(m: Matroid) -> set[int]:

@@ -28,7 +28,7 @@ from matlift.sets import SetFamily
 from matlift.sweeps import SweepConfig
 from matlift.textio import read_catalog
 
-from helpers import mk
+from helpers import lift, mk
 
 REPORTS = Path(__file__).resolve().parent.parent / "reports"
 
@@ -71,6 +71,17 @@ def test_criterion_3_lift_criterion(basis_catalogs, capsys):
     _verdict(capsys, ok, "3 (certified pairs admit verified witnesses)", out.details, t0, 300)
 
 
+@pytest.mark.slow
+def test_criterion_3_lift_criterion_n5(basis_catalogs, capsys):
+    t0 = time.perf_counter()
+    out = sweeps.lift_criterion_sweep(5, basis_catalogs)
+    stats = {k: out.stats.get(k) for k in
+             ("pairs", "certified", "witnesses", "nullity_within", "nullity_beyond")}
+    ok = out.ok and stats == {"pairs": 169745, "certified": 8446, "witnesses": 7949,
+                              "nullity_within": 17977, "nullity_beyond": 0}
+    _verdict(capsys, ok, "3 at n <= 5", out.details, t0, 300)
+
+
 def test_criterion_4_witness_search_biconditional(basis_catalogs, capsys):
     t0 = time.perf_counter()
     out = sweeps.witness_oracle_sweep(3, basis_catalogs)
@@ -94,6 +105,14 @@ def test_criterion_6_homotopy_orderings(basis_catalogs, capsys):
     _verdict(capsys, ok, "6 (factorization under every ordering)", out.details, t0, 300)
 
 
+@pytest.mark.slow
+def test_criterion_6_homotopy_orderings_n5(basis_catalogs, capsys):
+    t0 = time.perf_counter()
+    out = sweeps.homotopy_sweep(5, basis_catalogs)
+    ok = out.ok and out.stats.get("pairs") == out.stats.get("order_free") == 4641
+    _verdict(capsys, ok, "6 at n <= 5", out.details, t0, 300)
+
+
 def test_criterion_7_worked_instances(capsys):
     t0 = time.perf_counter()
     u13, u23, f3 = mk(3, "ab", "ac", "bc"), mk(3, "abc"), mk(3)
@@ -105,7 +124,6 @@ def test_criterion_7_worked_instances(capsys):
 
     w1 = lift_witness(u13, u23, ("x",))
     assert w1.n.circuits == SetFamily([0b0111, 0b1011, 0b1101, 0b1110])
-    assert w1.verified
     # the one-element lifts of (u13, u23) are exactly w1; (u23, u13) has none
     cat3 = enumerate_matroids(3)
     buckets = lift_buckets(cat3)
@@ -115,7 +133,6 @@ def test_criterion_7_worked_instances(capsys):
 
     w2 = lift_witness(u13, f3, ("x1", "x2"))
     assert w2.n.circuits == SetFamily([0b01111, 0b10111, 0b11011, 0b11101, 0b11110])
-    assert w2.verified
 
     chain = factor_homotopy(u13, f3, ("x1", "x2"))
     assert chain.steps == (u13, u23, f3)
@@ -128,7 +145,7 @@ def test_criterion_7_worked_instances(capsys):
         SetFamily([0b111]),
         SetFamily([]),
     ]
-    rows = remark_comparison(u13, f3)
+    rows = remark_comparison(w2)
     assert all(r.shifted_agrees for r in rows)
 
     _verdict(capsys, True, "7 (worked instances reproduce exactly)",
@@ -139,7 +156,7 @@ def test_criterion_8_remark_report(basis_catalogs, capsys):
     t0 = time.perf_counter()
     u13, u23, f3 = mk(3, "ab", "ac", "bc"), mk(3, "abc"), mk(3)
     for m, l in ((u13, u23), (u13, f3), (u23, f3)):
-        for row in remark_comparison(m, l):
+        for row in remark_comparison(lift(m, l)):
             assert row.shifted_agrees and not row.literal_agrees
 
     out = sweeps.remark_comparison_sweep(4, basis_catalogs)
@@ -153,6 +170,14 @@ def test_criterion_8_remark_report(basis_catalogs, capsys):
     )
     _verdict(capsys, ok, "8 (stage-family comparison matches the committed report)",
              out.details + f"; report at {report_path}", t0, 300)
+
+
+@pytest.mark.slow
+def test_criterion_8_remark_report_n5(basis_catalogs, capsys):
+    t0 = time.perf_counter()
+    out = sweeps.remark_comparison_sweep(5, basis_catalogs)
+    ok = out.ok and out.stats["shifted"] == (21597, 21597) and out.stats["literal"] == (0, 21597)
+    _verdict(capsys, ok, "8 at n <= 5", out.details, t0, 300)
 
 
 def test_criterion_9_cli_round_trip(basis_catalogs, tmp_path, capsys):

@@ -160,8 +160,15 @@ def test_remark_listing_and_compare(files, capsys):
     assert run_command(["remark", files["u13"], files["f3"], "--j", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == ["{a,b}", "{a,c}", "{b,c}"]
     assert run_command(["remark", files["u13"], files["f3"], "--compare"]) == 0
-    out = capsys.readouterr().out
-    assert "shifted form agrees" in out
+    assert capsys.readouterr().out.splitlines() == [
+        f"stage {i}: minor has {k} circuits; shifted form agrees, literal form differs"
+        for i, k in enumerate((3, 1, 0))
+    ]
+    # --compare builds the witness, so it refuses what lift_witness refuses
+    assert run_command(["remark", files["u23"], files["u13"], "--compare"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: quotient fails")
+    assert run_command(["remark", files["u13"], files["u13"], "--compare"]) == 2
+    assert "rank step >= 1" in capsys.readouterr().err
     assert run_command(["remark", files["u13"], files["f3"], "--j", "9"]) == 2
 
 

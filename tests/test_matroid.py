@@ -22,6 +22,7 @@ from matlift.errors import (
     StillIndependent,
     UnequalBasisSizes,
 )
+from matlift import matroid
 from matlift.axioms import check_circuit_axioms
 from matlift.enumeration import enumerate_matroids, random_matroid
 from matlift.matroid import (
@@ -243,7 +244,9 @@ def test_subset_tables_refuse_large_grounds(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the cap must be checked before any work starts")
 
-    monkeypatch.setattr(Matroid, "bases", no_work)
+    monkeypatch.setattr(matroid, "masks_of_size", no_work)
+    with pytest.raises(GroundTooLarge):
+        f.bases()
     with pytest.raises(GroundTooLarge):
         f.dual()
     rng = random.Random(1)

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 from matlift import quotient, sweeps
-from matlift.enumeration import random_quotient_pair
+from matlift.enumeration import random_matroid, random_quotient_pair
 from matlift.errors import (
     ConstructionFailure,
     DeletesEverything,
@@ -42,10 +42,12 @@ from matlift.sweeps import catalog_witnesses, homotopy_sweep, lattice_stages
 
 from helpers import (
     brute_cyclic_sets_by_nullity,
+    brute_flats,
     brute_higgs_rank,
     brute_independent,
     brute_lift_rank,
     brute_rank,
+    lift,
     mk,
     replay_dump,
 )
@@ -87,6 +89,31 @@ def test_loops_must_be_covered():
     assert not ref.holds and ref.circuit == 0b01
 
 
+def test_certify_agrees_with_flat_inclusion(basis_catalogs):
+    # M is a quotient of L iff every flat of M is a flat of L (Oxley, Matroid
+    # Theory, 2nd ed., Prop. 7.3.6): on every pair with n <= 4, then on
+    # seeded pairs at n = 6..8, lifted minor pairs and independent draws
+    pairs = 0
+    for n in range(1, 5):
+        entries = basis_catalogs[n].entries
+        flats = [brute_flats(m) for m in entries]
+        for i, m in enumerate(entries):
+            for j, l in enumerate(entries):
+                assert certify_quotient(m, l).holds == (flats[i] <= flats[j])
+                pairs += 1
+    assert pairs == 4909
+    rng = random.Random(20261019)
+    held = Counter()
+    for k in range(60):
+        n = 6 + k % 3
+        for m, l in (random_quotient_pair(rng, n, 1 + k % 2),
+                     (random_matroid(rng, n), random_matroid(rng, n))):
+            holds = certify_quotient(m, l).holds
+            assert holds == (brute_flats(m) <= brute_flats(l))
+            held[holds] += 1
+    assert held == {True: 86, False: 34}
+
+
 # ------------------------------------------------------------ witness build
 
 
@@ -94,8 +121,7 @@ def test_single_step_witness_matches_worked_instance(u13, u23):
     w = lift_witness(u13, u23, ("x",))
     assert w.n.ground.labels == ("a", "b", "c", "x")
     assert w.n.circuits == SetFamily([0b0111, 0b1011, 0b1101, 0b1110])
-    assert w.verified and w.x_mask == 0b1000
-    assert w.certificate.step_s == 1
+    assert w.x_labels == ("x",)
 
 
 def test_two_step_witness_matches_worked_instance(u13, f3):
@@ -103,13 +129,13 @@ def test_two_step_witness_matches_worked_instance(u13, f3):
     assert w.n.circuits == SetFamily(
         [0b01111, 0b10111, 0b11011, 0b11101, 0b11110]
     )
-    assert w.verified
 
 
 def test_witness_new_elements_are_never_loops_or_coloops(u13, u23, f3):
     for m, l, labels in ((u13, u23, ("x",)), (u13, f3, ("x1", "x2"))):
         w = lift_witness(m, l, labels)
-        assert not any(c.bit_count() == 1 and c & w.x_mask for c in w.n.circuits)
+        x = w.n.ground.mask_of(labels)
+        assert not any(c.bit_count() == 1 and c & x for c in w.n.circuits)
         assert all(w.n.rank(w.n.ground.full_mask & ~(1 << i)) == w.n.rank()
                    for i in range(len(m.ground), len(w.n.ground)))
 
@@ -204,13 +230,13 @@ def test_witness_rank_is_the_closed_form(basis_catalogs):
 
 def test_verify_pair_accepts_the_witness(u13, u23):
     w = lift_witness(u13, u23, ("x",))
-    report = verify_pair(w.n, w.x_mask, u13, u23)
+    report = verify_pair(w.n, 0b1000, u13, u23)
     assert report.ok and report.contract_ok and report.delete_ok
 
 
 def test_verify_pair_reports_both_mismatches(u13, u23):
     w = lift_witness(u13, u23, ("x",))
-    report = verify_pair(w.n, w.x_mask, u23, u13)
+    report = verify_pair(w.n, 0b1000, u23, u13)
     assert not report.ok
     assert not report.contract_ok and not report.delete_ok
     assert "mismatch" in report.describe()
@@ -221,7 +247,7 @@ def test_verify_pair_preconditions(u13, u23):
     with pytest.raises(PreconditionFailure):
         verify_pair(w.n, 0, u13, u23)
     with pytest.raises(GroundMismatch):
-        verify_pair(w.n, w.x_mask, mk(2, "ab"), u23)
+        verify_pair(w.n, 0b1000, mk(2, "ab"), u23)
     with pytest.raises(DeletesEverything, match="keep at least one element"):
         verify_pair(w.n, w.n.ground.full_mask, u13, u23)
 
@@ -247,9 +273,9 @@ def test_factor_reuses_a_supplied_witness(u13, u23, f3, monkeypatch):
     w = lift_witness(u13, f3, ("x1", "x2"))
 
     def refuse(*args):
-        raise AssertionError("_stage called")
+        raise AssertionError("stage called")
 
-    monkeypatch.setattr(quotient, "_stage", refuse)
+    monkeypatch.setattr(quotient.LiftWitness, "stage", refuse)
     assert factor_homotopy(u13, f3, ("x2", "x1"), witness=w).steps == (u13, u23, f3)
 
 
@@ -351,10 +377,18 @@ def test_formula_route_is_the_higgs_factorization_on_random_pairs():
     assert (lifted, middle) == (17, 15)
 
 
-def test_homotopy_sweep_fails_on_a_stage_off_the_closed_form(basis_catalogs, skewed_stage_two):
+def test_homotopy_sweep_fails_on_a_stage_off_the_closed_form(basis_catalogs, monkeypatch):
+    # the chain factors, but its stage 1 is not N's minor at any one deleted label
+    factor = quotient.factor_homotopy
+
+    def skewed(m, l, labels, witness=None):
+        steps = factor(m, l, labels, witness=witness).steps
+        return quotient.HomotopySequence((m, Matroid(m.ground, []), *steps[2:]))
+
+    monkeypatch.setattr(quotient, "factor_homotopy", skewed)
     out = homotopy_sweep(3, basis_catalogs)
     assert not out.ok
-    assert "stage 0b1 of" in out.details and "closed-form family at 2" in out.details
+    assert "stage 0b1 of" in out.details and "differs from chain stage 1" in out.details
 
 
 def test_homotopy_sweep_fails_on_a_chain_that_does_not_factor(basis_catalogs, monkeypatch):
@@ -401,7 +435,7 @@ def test_remark_j_range_is_checked(u13, u23):
 
 def test_remark_comparison_shifted_reading_wins(u13, u23, f3):
     for m, l in ((u13, u23), (u13, f3), (u23, f3)):
-        rows = remark_comparison(m, l)
+        rows = remark_comparison(lift(m, l))
         assert [r.i for r in rows] == list(range(len(rows)))
         for row in rows:
             assert row.shifted_agrees, f"stage {row.i} of {m!r} -> {l!r}"
@@ -409,31 +443,31 @@ def test_remark_comparison_shifted_reading_wins(u13, u23, f3):
             assert row.minor_circuits == row.shifted
 
 
-def test_remark_comparison_rows_are_the_closed_forms(basis_catalogs, u13, u23, f3):
+def test_remark_comparison_rows_are_the_closed_forms(basis_catalogs):
     for w in catalog_witnesses(basis_catalogs, 3):
         m, l = w.m, w.l
-        rows = remark_comparison(m, l)
+        rows = remark_comparison(w)
         assert [r.i for r in rows] == list(range(len(w.x_labels) + 1))
         for row in rows:
+            assert row.minor_circuits == w.stage((1 << row.i) - 1).circuits
             assert row.shifted == remark_circuits(m, l, row.i + 1)[0]
             assert row.literal == remark_circuits(m, l, row.i)[0]
-        assert remark_comparison(m, l, witness=w) == rows
-    with pytest.raises(RankMismatch):
-        remark_comparison(u13, u13)
-    with pytest.raises(QuotientViolation):
-        remark_comparison(u23, u13)
-    with pytest.raises(PreconditionFailure, match="witness endpoints"):
-        remark_comparison(u13, f3, witness=lift_witness(u13, u23, ("x",)))
 
 
 def test_remark_comparison_reads_the_witness_route(u13, f3, monkeypatch):
-    # without a witness it still compares N's minors with the closed form,
-    # not the closed-form route of factor_homotopy with itself
+    # it compares N's minors with the closed form, not the closed-form route
+    # of factor_homotopy with itself; the pair is certified once, by lift
     reads = []
-    stage = quotient._stage
-    monkeypatch.setattr(quotient, "_stage", lambda w, d: reads.append(d) or stage(w, d))
-    rows = remark_comparison(u13, f3)
-    assert reads and all(row.shifted_agrees for row in rows)
+    stage = quotient.LiftWitness.stage
+    monkeypatch.setattr(quotient.LiftWitness, "stage", lambda w, d: reads.append(d) or stage(w, d))
+    w = lift_witness(u13, f3, ("x1", "x2"))
+
+    def refuse(*args):
+        raise AssertionError("certify_quotient called")
+
+    monkeypatch.setattr(quotient, "certify_quotient", refuse)
+    rows = remark_comparison(w)
+    assert reads == [0b00, 0b01, 0b11] and all(row.shifted_agrees for row in rows)
 
 
 # ----------------------------------------------------- checked statements

@@ -2,8 +2,10 @@
 
 import pytest
 
-from matlift.errors import ParseError, PreconditionFailure
+from matlift.errors import GroundTooLarge, ParseError, PreconditionFailure
 from matlift.enumeration import enumerate_matroids
+from matlift.matroid import Matroid
+from matlift.sets import default_ground
 from matlift.textio import (
     catalog_line,
     pair_line,
@@ -94,6 +96,22 @@ def test_catalog_line_round_trip():
     for m in enumerate_matroids(3).entries:
         n, rank, fam = parse_catalog_line(catalog_line(m))
         assert n == 3 and rank == m.rank() and fam == m.circuits
+
+
+def test_catalog_lines_hold_at_most_16_elements(tmp_path):
+    # an index is one hex digit: on 17 elements, element 16 would be written
+    # "10" and read back as elements 0 and 1
+    g16 = default_ground(16)
+    m16 = Matroid(g16, [0b1 | 1 << 15, 0b110])
+    path = tmp_path / "cat16.txt"
+    assert write_catalog([m16], str(path)) == 1
+    assert path.read_text() == "n=16;rank=14;circuits=12|0f\n"
+    assert read_catalog(str(path)) == [m16]
+    g17 = default_ground(17)
+    with pytest.raises(GroundTooLarge, match="at most 16"):
+        write_catalog([Matroid(g17, [0b1 | 1 << 16])], str(tmp_path / "cat17.txt"))
+    with pytest.raises(ParseError, match="at most 16"):
+        parse_catalog_line("n=17;rank=16;circuits=010")
 
 
 def test_catalog_line_shape(u13, f3):
