@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="catalog all matroids on n elements")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("basis", "circuit"), default="basis")
+    p.add_argument("--method", choices=("extension", "circuit"), default="extension")
     p.add_argument("--out", help="catalog file path (default: print)")
     p.set_defaults(handler=_cmd_enumerate)
 

@@ -3,8 +3,8 @@
 Two deliberately different generation routes exist so they can cross-check
 each other:
 
-* ``basis`` route: for every rank r, scan all non-empty families of
-  r-subsets through the basis-exchange checker. Practical through n = 6.
+* ``extension`` route (the default): grow each catalog from the one below
+  it, by the single-element extensions of every entry. Practical through n = 6.
 * ``circuit`` route: grow the antichains of non-empty subsets depth-first
   and screen each through the circuit-axiom checker. Only antichains can
   pass the clutter axiom, and there are far fewer of them than families
@@ -23,17 +23,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from . import quotient as _quotient
 from .axioms import check_circuit_axioms
-from .errors import ExchangeFailure, GroundTooLarge
+from .errors import GroundTooLarge
 from .matroid import Matroid, require_subset_table
 from .minors import contract, delete
-from .sets import GroundSet, SetFamily, default_ground, fresh_labels, masks_of_size
+from .sets import GroundSet, SetFamily, bit_indices, default_ground, fresh_labels
 from .textio import catalog_line, pair_line
 
-BASIS_ENUM_CAP = 6
+EXTENSION_ENUM_CAP = 6  # the free matroid on 6 elements has 7,828,354 up-sets of flats
 CIRCUIT_ENUM_CAP = 5
 PAIR_CATALOG_CAP = 5
 
@@ -87,14 +87,18 @@ def _as_ground(ground: Union[GroundSet, int]) -> GroundSet:
     return ground if isinstance(ground, GroundSet) else default_ground(ground)
 
 
-def enumerate_matroids(ground: Union[GroundSet, int], method: str = "basis") -> MatroidCatalog:
+def enumerate_matroids(ground: Union[GroundSet, int], method: str = "extension") -> MatroidCatalog:
     """Catalog of all labelled matroids on ``ground`` via the chosen route."""
     g = _as_ground(ground)
     n = len(g)
-    if method == "basis":
-        if n > BASIS_ENUM_CAP:
-            raise GroundTooLarge(f"basis route handles at most {BASIS_ENUM_CAP} elements")
-        entries = _enumerate_by_bases(g)
+    if method == "extension":
+        if n > EXTENSION_ENUM_CAP:
+            raise GroundTooLarge(f"extension route handles at most {EXTENSION_ENUM_CAP} elements")
+        if n == 1:
+            entries = [Matroid(g, [1]), Matroid(g, [])]
+        else:
+            below = enumerate_matroids(GroundSet(g.labels[:-1]))
+            entries = [m for l in below.entries for m in _extensions(l, g)]
     elif method == "circuit":
         if n > CIRCUIT_ENUM_CAP:
             raise GroundTooLarge(f"circuit route handles at most {CIRCUIT_ENUM_CAP} elements")
@@ -105,20 +109,36 @@ def enumerate_matroids(ground: Union[GroundSet, int], method: str = "basis") -> 
     return MatroidCatalog(g, tuple(entries))
 
 
-def _enumerate_by_bases(g: GroundSet) -> list[Matroid]:
-    n = len(g)
-    out = []
-    for r in range(n + 1):
-        r_subsets = list(masks_of_size(n, r))
-        for pick in range(1, 1 << len(r_subsets)):
-            family = SetFamily(
-                r_subsets[i] for i in range(len(r_subsets)) if pick >> i & 1
-            )
-            try:  # from_bases runs the exchange check once and raises on failure
-                out.append(Matroid.from_bases(g, family))
-            except ExchangeFailure:
-                continue
-    return out
+def _extensions(l: Matroid, big: GroundSet) -> list[Matroid]:
+    """Every matroid on ``big``, the ground of ``l`` plus a last element x,
+    whose deletion by x is ``l``: one per modular cut of ``l``.
+
+    Each up-set U of the flats (closures of independent sets), grown largest
+    flat first, adds A + x to ``l``'s circuits for every independent A
+    minimal with cl(A) in U. The family passes the circuit axioms iff U is a
+    modular cut, and is then its extension (Oxley, Matroid Theory, 7.2).
+    """
+    x = 1 << len(l.ground)
+    # e joins the closure of an independent A when a circuit leaves A only at e
+    closure = {a: a | sum({c & ~a for c in l.circuits if (c & ~a).bit_count() == 1})
+               for a in range(x) if l.is_independent(a)}
+    flats = sorted(set(closure.values()), key=int.bit_count, reverse=True)
+    candidates = [(f, [closure[a & ~(1 << b)] for b in bit_indices(a)], a | x)
+               for a, f in closure.items()]
+
+    def grow(up: set[int], k: int) -> Iterator[Matroid]:
+        if k == len(flats):
+            new = [c for f, below, c in candidates if f in up and not any(b in up for b in below)]
+            report = check_circuit_axioms(big, SetFamily((*l.circuits, *new)))
+            if report.passed:
+                yield Matroid._from_report(report)
+            return
+        yield from grow(up, k + 1)
+        f = flats[k]
+        if all(h in up for h in flats[:k] if f & ~h == 0):  # every larger flat is in
+            yield from grow(up | {f}, k + 1)
+
+    return list(grow(set(), 0))
 
 
 def _enumerate_by_circuits(g: GroundSet) -> list[Matroid]:
@@ -148,18 +168,18 @@ def _enumerate_by_circuits(g: GroundSet) -> list[Matroid]:
 def lift_buckets(catalog: MatroidCatalog) -> dict[tuple[int, int], list[Matroid]]:
     """Every one-element lift of the catalog, keyed by the pair it realizes.
 
-    Enumerates the matroids N on the ground extended by
-    ``fresh_labels(ground, 1)`` once, and files each under the catalog
-    indices ``(i, j)`` of (N/x, N\\x), in catalog order. By the lift
+    A lift N with N\\x = L is an extension of L, so each extension of entry
+    j to the ground plus ``fresh_labels(ground, 1)`` is filed under (i, j),
+    i the index of N/x, in entry and then ``_extensions`` order. By the lift
     theorem the keys are exactly the certified pairs with step <= 1.
     """
     g = catalog.ground
-    x_mask = 1 << len(g)
+    big = g.extend(fresh_labels(g, 1))
     index = {m: i for i, m in enumerate(catalog.entries)}
     buckets: dict[tuple[int, int], list[Matroid]] = {}
-    for n in enumerate_matroids(g.extend(fresh_labels(g, 1))).entries:
-        key = (index[contract(n, x_mask)], index[delete(n, x_mask)])
-        buckets.setdefault(key, []).append(n)
+    for j, l in enumerate(catalog.entries):
+        for n in _extensions(l, big):
+            buckets.setdefault((index[contract(n, 1 << len(g))], j), []).append(n)
     return buckets
 
 

@@ -86,20 +86,20 @@ def catalog_witnesses(catalogs: CatalogMap, max_n: int) -> Iterator[quotient.Lif
 
 
 def catalog_cross_oracle_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
-    """Both enumeration routes agree; every entry is strongly sound and
-    dual-involutive."""
+    """The circuit route agrees with ``catalogs``; every entry is strongly
+    sound and dual-involutive."""
     from .axioms import check_circuit_axioms
 
     t0 = time.perf_counter()
     problems = []
     counts = {}
     for n in range(1, max_n + 1):
-        basis_cat = catalogs[n]
-        circuit_cat = enumerate_matroids(basis_cat.ground, "circuit")
-        if [m.circuits for m in basis_cat.entries] != [m.circuits for m in circuit_cat.entries]:
+        cat = catalogs[n]
+        circuit_cat = enumerate_matroids(cat.ground, "circuit")
+        if [m.circuits for m in cat.entries] != [m.circuits for m in circuit_cat.entries]:
             problems.append(f"n={n}: routes disagree")
-        counts[n] = len(basis_cat)
-        for m in basis_cat.entries:
+        counts[n] = len(cat)
+        for m in cat.entries:
             if not check_circuit_axioms(m.ground, m.circuits, strong=True).passed:
                 problems.append(f"n={n}: strong axioms fail on {m!r}")
                 break

@@ -40,9 +40,15 @@ def _cross_checked_minors():
 
 
 @pytest.fixture(scope="session")
-def basis_catalogs():
-    """All labelled matroids on 1..5 elements, basis route."""
-    return {n: enumerate_matroids(n, "basis") for n in range(1, 6)}
+def catalogs():
+    """All labelled matroids on 1..5 elements, extension route."""
+    return {n: enumerate_matroids(n) for n in range(1, 6)}
+
+
+@pytest.fixture(scope="session")
+def catalog_6():
+    """All 3,807 labelled matroids on 6 elements, extension route."""
+    return enumerate_matroids(6)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from itertools import combinations
 from matlift.matroid import Matroid
 from matlift.quotient import LiftWitness, lift_witness
 from matlift.sets import GroundSet, SetFamily, default_ground, fresh_labels
-from matlift.textio import parse_matroid_text
+from matlift.textio import catalog_line, parse_matroid_text
 
 
 def mk(n_or_labels, *circuit_labels) -> Matroid:
@@ -84,6 +84,37 @@ def brute_minimal_dependent(n: int, dependent) -> SetFamily:
             if all(c & ~mask for c in found) and dependent(mask):
                 found.append(mask)
     return SetFamily(found)
+
+
+def brute_exchange(bases: list[int]) -> bool:
+    """Basis exchange: for bases b1, b2 and x in b1 - b2, some y in b2 - b1
+    makes b1 - x + y a basis."""
+    members = set(bases)
+    for b1 in bases:
+        for b2 in bases:
+            ins = [y for y in range(b2.bit_length()) if (b2 & ~b1) >> y & 1]
+            for x in range(b1.bit_length()):
+                if (b1 & ~b2) >> x & 1 and not any(
+                    (b1 & ~(1 << x) | 1 << y) in members for y in ins
+                ):
+                    return False
+    return True
+
+
+def enumerate_by_bases(n: int) -> list[Matroid]:
+    """Every matroid on ``default_ground(n)``, in catalog order: each non-empty
+    family of r-subsets that passes basis exchange, with circuits the minimal
+    sets inside no basis. It scans 2^C(n, r) families per rank, so n <= 5."""
+    assert n <= 5, "the basis scan takes 2^20 families at n = 6"
+    out = []
+    for r in range(n + 1):
+        r_subsets = [sum(1 << i for i in combo) for combo in combinations(range(n), r)]
+        for pick in range(1, 1 << len(r_subsets)):
+            bases = [b for k, b in enumerate(r_subsets) if pick >> k & 1]
+            if brute_exchange(bases):
+                circuits = brute_minimal_dependent(n, lambda a: all(a & ~b for b in bases))
+                out.append(Matroid(default_ground(n), circuits))
+    return sorted(out, key=catalog_line)
 
 
 def brute_dual(m: Matroid) -> SetFamily:

@@ -44,23 +44,23 @@ def _verdict(capsys, ok: bool, name: str, detail: str, t0: float, budget: float)
     assert elapsed < budget, f"budget exceeded: {elapsed:.1f}s >= {budget:.0f}s"
 
 
-def test_criterion_1_catalog_cross_oracle(basis_catalogs, capsys):
+def test_criterion_1_catalog_cross_oracle(catalogs, capsys):
     t0 = time.perf_counter()
-    out = sweeps.catalog_cross_oracle_sweep(4, basis_catalogs)
+    out = sweeps.catalog_cross_oracle_sweep(4, catalogs)
     ok = out.ok and out.stats.get("counts") == {n: KNOWN_COUNTS[n] for n in range(1, 5)}
     _verdict(capsys, ok, "1 (catalog cross-oracle)", out.details, t0, 30)
 
 
-def test_criterion_2_lift_property(basis_catalogs, capsys):
+def test_criterion_2_lift_property(catalogs, capsys):
     t0 = time.perf_counter()
-    out = sweeps.lift_property_sweep(5, basis_catalogs)
+    out = sweeps.lift_property_sweep(5, catalogs)
     ok = out.ok and out.stats.get("checked") == 13238
     _verdict(capsys, ok, "2 (every minor pair certifies)", out.details, t0, 300)
 
 
-def test_criterion_3_lift_criterion(basis_catalogs, capsys):
+def test_criterion_3_lift_criterion(catalogs, capsys):
     t0 = time.perf_counter()
-    out = sweeps.lift_criterion_sweep(4, basis_catalogs)
+    out = sweeps.lift_criterion_sweep(4, catalogs)
     ok = (
         out.ok
         and out.stats.get("pairs") == 4909
@@ -72,9 +72,9 @@ def test_criterion_3_lift_criterion(basis_catalogs, capsys):
 
 
 @pytest.mark.slow
-def test_criterion_3_lift_criterion_n5(basis_catalogs, capsys):
+def test_criterion_3_lift_criterion_n5(catalogs, capsys):
     t0 = time.perf_counter()
-    out = sweeps.lift_criterion_sweep(5, basis_catalogs)
+    out = sweeps.lift_criterion_sweep(5, catalogs)
     stats = {k: out.stats.get(k) for k in
              ("pairs", "certified", "witnesses", "nullity_within", "nullity_beyond")}
     ok = out.ok and stats == {"pairs": 169745, "certified": 8446, "witnesses": 7949,
@@ -82,33 +82,48 @@ def test_criterion_3_lift_criterion_n5(basis_catalogs, capsys):
     _verdict(capsys, ok, "3 at n <= 5", out.details, t0, 300)
 
 
-def test_criterion_4_witness_search_biconditional(basis_catalogs, capsys):
+def test_criterion_4_witness_search_biconditional(catalogs, capsys):
     t0 = time.perf_counter()
-    out = sweeps.witness_oracle_sweep(3, basis_catalogs)
+    out = sweeps.witness_oracle_sweep(3, catalogs)
     ok = out.ok and out.stats.get("agree") == 70
     _verdict(capsys, ok, "4 (step-one certification = witness search)", out.details, t0, 120)
 
 
-def test_criterion_5_lemma_sweeps(basis_catalogs, capsys):
+def test_criterion_4_witness_search_biconditional_n4(catalogs, capsys):
     t0 = time.perf_counter()
-    exhaustive = sweeps.lemma_exhaustive_sweep(4, basis_catalogs)
+    out = sweeps.witness_oracle_sweep(4, catalogs)
+    ok = out.ok and out.stats.get("agree") == 1180
+    _verdict(capsys, ok, "4 at n <= 4", out.details, t0, 120)
+
+
+@pytest.mark.slow
+def test_criterion_4_witness_search_biconditional_n5(catalogs, capsys):
+    t0 = time.perf_counter()
+    out = sweeps.witness_oracle_sweep(5, catalogs)
+    ok = out.ok and out.stats.get("agree") == 41085
+    _verdict(capsys, ok, "4 at n <= 5", out.details, t0, 300)
+
+
+def test_criterion_5_lemma_sweeps(catalogs, capsys):
+    t0 = time.perf_counter()
+    exhaustive = sweeps.lemma_exhaustive_sweep(4, catalogs)
     randomized = sweeps.lemma_randomized_sweep(SweepConfig())
     ok = exhaustive.ok and randomized.ok and randomized.stats.get("total", 0) >= 10000
     detail = f"exhaustive: {exhaustive.details}; randomized: {randomized.details}"
     _verdict(capsys, ok, "5 (checked statements, exhaustive + randomized)", detail, t0, 600)
 
 
-def test_criterion_6_homotopy_orderings(basis_catalogs, capsys):
+def test_criterion_6_homotopy_orderings(catalogs, capsys):
     t0 = time.perf_counter()
-    out = sweeps.homotopy_sweep(4, basis_catalogs)
+    out = sweeps.homotopy_sweep(4, catalogs)
     ok = out.ok and out.stats.get("pairs") == 236
     _verdict(capsys, ok, "6 (factorization under every ordering)", out.details, t0, 300)
 
 
 @pytest.mark.slow
-def test_criterion_6_homotopy_orderings_n5(basis_catalogs, capsys):
+def test_criterion_6_homotopy_orderings_n5(catalogs, capsys):
     t0 = time.perf_counter()
-    out = sweeps.homotopy_sweep(5, basis_catalogs)
+    out = sweeps.homotopy_sweep(5, catalogs)
     ok = out.ok and out.stats.get("pairs") == out.stats.get("order_free") == 4641
     _verdict(capsys, ok, "6 at n <= 5", out.details, t0, 300)
 
@@ -152,14 +167,14 @@ def test_criterion_7_worked_instances(capsys):
              "certificates, witnesses, chain, stage families all match", t0, 1)
 
 
-def test_criterion_8_remark_report(basis_catalogs, capsys):
+def test_criterion_8_remark_report(catalogs, capsys):
     t0 = time.perf_counter()
     u13, u23, f3 = mk(3, "ab", "ac", "bc"), mk(3, "abc"), mk(3)
     for m, l in ((u13, u23), (u13, f3), (u23, f3)):
         for row in remark_comparison(lift(m, l)):
             assert row.shifted_agrees and not row.literal_agrees
 
-    out = sweeps.remark_comparison_sweep(4, basis_catalogs)
+    out = sweeps.remark_comparison_sweep(4, catalogs)
     # scripts/remark_report.py writes the committed report; the gate only reads it
     report_path = REPORTS / "remark_comparison.txt"
     sh_agree, sh_total = out.stats["shifted"]
@@ -173,20 +188,20 @@ def test_criterion_8_remark_report(basis_catalogs, capsys):
 
 
 @pytest.mark.slow
-def test_criterion_8_remark_report_n5(basis_catalogs, capsys):
+def test_criterion_8_remark_report_n5(catalogs, capsys):
     t0 = time.perf_counter()
-    out = sweeps.remark_comparison_sweep(5, basis_catalogs)
+    out = sweeps.remark_comparison_sweep(5, catalogs)
     ok = out.ok and out.stats["shifted"] == (21597, 21597) and out.stats["literal"] == (0, 21597)
     _verdict(capsys, ok, "8 at n <= 5", out.details, t0, 300)
 
 
-def test_criterion_9_cli_round_trip(basis_catalogs, tmp_path, capsys):
+def test_criterion_9_cli_round_trip(catalogs, tmp_path, capsys):
     t0 = time.perf_counter()
     # half 1: catalog files written by the CLI parse back to the same catalogs
     for n in range(1, 6):
         path = tmp_path / f"cat{n}.txt"
         assert run_command(["enumerate", "--n", str(n), "--out", str(path)]) == 0
-        assert read_catalog(str(path)) == list(basis_catalogs[n].entries)
+        assert read_catalog(str(path)) == list(catalogs[n].entries)
 
     # half 2: fixed script of twenty invocations with pinned exit codes
     u13 = tmp_path / "u13.txt"

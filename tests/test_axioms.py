@@ -89,9 +89,9 @@ def test_circuit_checker_matches_independence_oracle_n4():
     assert passed == 68
 
 
-def test_strong_form_follows_from_weak(basis_catalogs):
+def test_strong_form_follows_from_weak(catalogs):
     for n in range(1, 6):
-        for m in basis_catalogs[n].entries:
+        for m in catalogs[n].entries:
             report = check_circuit_axioms(m.ground, m.circuits, strong=True)
             assert report.passed, report.describe()
 

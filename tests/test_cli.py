@@ -197,6 +197,16 @@ def test_enumerate_and_pairs(tmp_path, capsys):
     assert len(pairs.read_text().splitlines()) == 25
 
 
+def test_enumerate_methods(capsys):
+    # the basis route is a test oracle now, not a command-line choice
+    assert run_command(["enumerate", "--n", "3", "--method", "circuit"]) == 0
+    circuit = capsys.readouterr().out
+    assert run_command(["enumerate", "--n", "3", "--method", "extension"]) == 0
+    assert capsys.readouterr().out == circuit
+    assert run_command(["enumerate", "--n", "3", "--method", "basis"]) == 2
+    assert "invalid choice: 'basis'" in capsys.readouterr().err
+
+
 def test_pairs_exits_1_with_a_replayable_dump(monkeypatch, capsys):
     # the pair table reads the shared witness table, so one failed
     # construction stops the command with the failure's dump
@@ -236,10 +246,10 @@ def test_sweep_small(capsys):
     assert out.count("PASS") == 8 and "FAIL" not in out
 
 
-def test_sweep_reports_the_pinned_counts(basis_catalogs, monkeypatch):
+def test_sweep_reports_the_pinned_counts(catalogs, monkeypatch):
     # reuse the session catalogs, whose pair and witness tables are built once
     monkeypatch.setattr(
-        sweeps, "build_catalogs", lambda max_n: {n: basis_catalogs[n] for n in range(1, max_n + 1)}
+        sweeps, "build_catalogs", lambda max_n: {n: catalogs[n] for n in range(1, max_n + 1)}
     )
     outcomes = sweeps.run_all(4)
     assert all(o.ok for o in outcomes)

@@ -2,7 +2,8 @@
 random instances.
 
 The labelled counts 2, 5, 16, 68, 406 act as a fixed point: two unrelated
-enumeration routes must reproduce them exactly.
+enumeration routes and the brute-force basis oracle must reproduce them
+exactly.
 """
 
 import random
@@ -11,8 +12,11 @@ from itertools import permutations
 
 import pytest
 
+from matlift import enumeration
 from matlift.axioms import check_circuit_axioms
 from matlift.enumeration import (
+    CIRCUIT_ENUM_CAP,
+    EXTENSION_ENUM_CAP,
     enumerate_matroids,
     lift_buckets,
     pair_records,
@@ -20,19 +24,21 @@ from matlift.enumeration import (
     random_quotient_pair,
 )
 from matlift.errors import GroundTooLarge
-from matlift.matroid import free_matroid
+from matlift.matroid import Matroid, free_matroid
+from matlift.minors import contract, delete
 from matlift.quotient import certify_quotient, lift_witness
 from matlift.sets import SetFamily, fresh_labels
 from matlift.textio import parse_pair_line
 
-from helpers import brute_minimal_dependent, gf_rank
+from helpers import brute_minimal_dependent, enumerate_by_bases, gf_rank
 
 KNOWN_COUNTS = {1: 2, 2: 5, 3: 16, 4: 68, 5: 406}
 
 
-def test_basis_route_counts(basis_catalogs):
+def test_basis_route_counts():
+    # the brute-force basis oracle of the helpers
     for n, want in KNOWN_COUNTS.items():
-        assert len(basis_catalogs[n]) == want
+        assert len(enumerate_by_bases(n)) == want
 
 
 def test_circuit_route_counts(circuit_catalogs):
@@ -56,28 +62,44 @@ def test_circuit_route_checks_only_antichains(monkeypatch):
         assert len(checked) == len(set(checked)) == want
 
 
-def test_routes_agree(basis_catalogs, circuit_catalogs):
+def test_routes_agree(catalogs, circuit_catalogs):
+    # extension against circuit, and both against the basis oracle
     for n in range(1, 6):
-        assert [m.circuits for m in basis_catalogs[n].entries] == [
-            m.circuits for m in circuit_catalogs[n].entries
-        ]
+        want = [m.circuits for m in catalogs[n].entries]
+        assert [m.circuits for m in circuit_catalogs[n].entries] == want
+        assert [m.circuits for m in enumerate_by_bases(n)] == want
 
 
-def test_catalog_order_is_stable_and_indexable(basis_catalogs):
-    cat = basis_catalogs[3]
+@pytest.mark.slow
+def test_extension_route_at_six(catalog_6):
+    # the labelled matroids on 6 elements number 3,807 (OEIS A058673); every
+    # one deletes to an entry of the n = 5 catalog
+    assert len(catalog_6) == 3807
+    assert len(set(catalog_6.entries)) == 3807
+    five = set(enumerate_matroids(5).entries)
+    assert all(delete(m, 1 << 5) in five for m in catalog_6.entries)
+
+
+def test_catalog_order_is_stable_and_indexable(catalogs):
+    cat = catalogs[3]
     again = enumerate_matroids(3)
     assert [m.circuits for m in cat.entries] == [m.circuits for m in again.entries]
     for i, m in enumerate(cat.entries):
         assert cat.entries.index(m) == i
 
 
-def test_enumeration_caps():
+def test_enumeration_caps(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the cap must be checked before any work starts")
+
+    monkeypatch.setattr(enumeration, "_extensions", no_work)
     with pytest.raises(GroundTooLarge):
-        enumerate_matroids(7, "basis")
+        enumerate_matroids(EXTENSION_ENUM_CAP + 1)
     with pytest.raises(GroundTooLarge):
-        enumerate_matroids(6, "circuit")
-    with pytest.raises(ValueError):
-        enumerate_matroids(3, "magic")
+        enumerate_matroids(CIRCUIT_ENUM_CAP + 1, "circuit")
+    for method in ("magic", "basis"):
+        with pytest.raises(ValueError):
+            enumerate_matroids(3, method)
     with pytest.raises(GroundTooLarge):
         pair_records(6)
 
@@ -96,19 +118,19 @@ def test_lift_buckets_direction_matters(u13, u23):
     assert (j, i) not in lift_buckets(cat)
 
 
-def test_lift_buckets_use_a_fresh_label(basis_catalogs):
+def test_lift_buckets_use_a_fresh_label(catalogs):
     for n in range(1, 4):
-        cat = basis_catalogs[n]
+        cat = catalogs[n]
         big = cat.ground.extend(fresh_labels(cat.ground, 1))
         for lifts in lift_buckets(cat).values():
             assert all(lift.ground == big for lift in lifts)
 
 
-def test_lift_bucket_keys_are_the_certified_pairs_up_to_step_one(basis_catalogs):
+def test_lift_bucket_keys_are_the_certified_pairs_up_to_step_one(catalogs):
     # both directions of the lift theorem at k = 1: every key certifies with
     # step <= 1, and every such certified pair has a lift
     for n in range(1, 4):
-        cat = basis_catalogs[n]
+        cat = catalogs[n]
         buckets = lift_buckets(cat)
         for key in buckets:
             assert key in cat.certified and cat.certified[key] <= 1
@@ -116,9 +138,55 @@ def test_lift_bucket_keys_are_the_certified_pairs_up_to_step_one(basis_catalogs)
         assert sum(map(len, buckets.values())) == len(enumerate_matroids(n + 1))
 
 
-def test_witness_table_covers_positive_steps(basis_catalogs):
+def test_lift_buckets_file_the_next_catalog(catalogs, circuit_catalogs):
+    # file every N of the circuit route's catalog on one more element, the
+    # new one relabelled, under (N/x, N\x)
+    for n in range(1, 5):
+        cat = catalogs[n]
+        big = cat.ground.extend(fresh_labels(cat.ground, 1))
+        index = {m: i for i, m in enumerate(cat.entries)}
+        filed = {}
+        for m in circuit_catalogs[n + 1].entries:
+            lift = Matroid(big, m.circuits)
+            key = (index[contract(lift, 1 << n)], index[delete(lift, 1 << n)])
+            filed.setdefault(key, set()).add(lift)
+        assert {p: set(lifts) for p, lifts in lift_buckets(cat).items()} == filed
+
+
+def lift_theorem_keys(cat, big_cat, k):
+    """Key every N of ``big_cat`` by the indices in ``cat`` of (N/X, N\\X),
+    X its last k labels. The keys must be the certified pairs with step <= k,
+    and the pair of each step s holds its s-element lift plus k - s coloops
+    (M plus k coloops at s = 0). Returns the number of keys."""
+    x = big_cat.ground.full_mask & ~cat.ground.full_mask
+    index = {m: i for i, m in enumerate(cat.entries)}
+    keys = {}
+    for big in big_cat.entries:
+        keys.setdefault((index[contract(big, x)], index[delete(big, x)]), set()).add(big)
+    assert set(keys) == {p for p, s in cat.certified.items() if s <= k}
+    for (i, j), s in cat.certified.items():
+        if s <= k:
+            lifted = cat.witnesses[(i, j)].n if s else cat.entries[i]
+            assert Matroid(big_cat.ground, lifted.circuits) in keys[(i, j)]
+    return len(keys)
+
+
+def test_lift_theorem_beyond_one_element(catalogs):
+    got = {(n, k): lift_theorem_keys(catalogs[n], catalogs[n + k], k)
+           for n in range(1, 5) for k in range(1, 6 - n)}
+    assert got == {(1, 1): 3, (1, 2): 3, (1, 3): 3, (1, 4): 3, (2, 1): 11, (2, 2): 12,
+                   (2, 3): 12, (3, 1): 52, (3, 2): 66, (4, 1): 338}
+
+
+@pytest.mark.slow
+def test_lift_theorem_beyond_one_element_at_six(catalogs, catalog_6):
+    got = {(n, 6 - n): lift_theorem_keys(catalogs[n], catalog_6, 6 - n) for n in range(1, 6)}
+    assert got == {(1, 5): 3, (2, 4): 12, (3, 3): 67, (4, 2): 527, (5, 1): 3401}
+
+
+def test_witness_table_covers_positive_steps(catalogs):
     for n in range(1, 4):
-        cat = basis_catalogs[n]
+        cat = catalogs[n]
         table = cat.witnesses
         assert list(table) == [p for p, s in cat.certified.items() if s >= 1]
         for (i, j), w in table.items():
@@ -127,11 +195,11 @@ def test_witness_table_covers_positive_steps(basis_catalogs):
         assert cat.witnesses is table
 
 
-def test_witness_family_is_symmetric_in_the_new_labels(basis_catalogs):
+def test_witness_family_is_symmetric_in_the_new_labels(catalogs):
     # the z-parts of the constructed circuits are all subsets of each size,
     # so permuting the new labels maps the family onto itself
     for n in range(1, 5):
-        for w in basis_catalogs[n].witnesses.values():
+        for w in catalogs[n].witnesses.values():
             e, s = n, len(w.x_labels)
             for order in permutations(range(s)):
                 moved = SetFamily(
@@ -142,8 +210,8 @@ def test_witness_family_is_symmetric_in_the_new_labels(basis_catalogs):
                 assert moved == w.n.circuits
 
 
-def test_pair_records_shape(basis_catalogs):
-    cat = basis_catalogs[2]
+def test_pair_records_shape(catalogs):
+    cat = catalogs[2]
     records = pair_records(cat)
     assert len(records) == 25
     certified = [r for r in records if r.quotient]
@@ -159,8 +227,8 @@ def test_pair_records_shape(basis_catalogs):
         parse_pair_line(r.line())
 
 
-def test_diagonal_records_are_step_zero(basis_catalogs):
-    cat = basis_catalogs[3]
+def test_diagonal_records_are_step_zero(catalogs):
+    cat = catalogs[3]
     records = pair_records(cat)
     k = len(cat)
     for i in range(k):
@@ -180,9 +248,9 @@ def test_pair_catalog_writes_parseable_lines(tmp_path):
         pair_records(6)
 
 
-def test_certified_table_matches_certify(basis_catalogs):
+def test_certified_table_matches_certify(catalogs):
     for n in range(1, 4):
-        cat = basis_catalogs[n]
+        cat = catalogs[n]
         table = cat.certified
         for i, m in enumerate(cat.entries):
             for j, l in enumerate(cat.entries):
@@ -192,7 +260,7 @@ def test_certified_table_matches_certify(basis_catalogs):
                 else:
                     assert (i, j) not in table
         assert cat.certified is table
-    assert len(basis_catalogs[2].certified) == 12
+    assert len(catalogs[2].certified) == 12
 
 
 def test_random_matroids_are_valid_and_reproducible():

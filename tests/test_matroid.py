@@ -86,11 +86,11 @@ def test_rank_against_oracle_sampled(m, a):
     assert m.rank(a) == brute_rank(m, a)
 
 
-def test_greedy_extends_every_independent_start(basis_catalogs):
+def test_greedy_extends_every_independent_start(catalogs):
     # every independent start inside a grows to a basis of a, judged by the
     # brute-force oracle
     for n in range(1, 5):
-        for m in basis_catalogs[n].entries:
+        for m in catalogs[n].entries:
             for a in range(1 << n):
                 rank = brute_rank(m, a)
                 for start in submasks(a):
@@ -102,25 +102,25 @@ def test_greedy_extends_every_independent_start(basis_catalogs):
                     assert picked.bit_count() == rank
 
 
-def test_dual_involution_and_rank_formula(basis_catalogs):
+def test_dual_involution_and_rank_formula(catalogs):
     for n in range(1, 6):
-        for m in basis_catalogs[n].entries:
+        for m in catalogs[n].entries:
             d = m.dual()
             assert d.dual() == m
             assert d.rank() == len(m.ground) - m.rank()
 
 
-def test_dual_is_built_once_and_does_not_point_back(basis_catalogs):
-    for m in basis_catalogs[4].entries:
+def test_dual_is_built_once_and_does_not_point_back(catalogs):
+    for m in catalogs[4].entries:
         d = m.dual()
         assert d is m.dual()
         assert d.dual() == m
         assert d.dual() is not m
 
 
-def test_dual_bases_are_complements(basis_catalogs):
+def test_dual_bases_are_complements(catalogs):
     for n in range(1, 6):
-        for m in basis_catalogs[n].entries:
+        for m in catalogs[n].entries:
             full = m.ground.full_mask
             assert sorted(b ^ full for b in brute_bases(m)) == sorted(brute_bases(m.dual()))
 
@@ -169,9 +169,9 @@ def cyclic_draws():
     return [random_matroid(random.Random(seed), 7 + seed % 3) for seed in range(30)]
 
 
-def test_cyclic_sets_match_union_closure(basis_catalogs, cyclic_draws):
-    catalogs = [m for n in range(1, 6) for m in basis_catalogs[n].entries]
-    for m in catalogs + cyclic_draws:
+def test_cyclic_sets_match_union_closure(catalogs, cyclic_draws):
+    entries = [m for n in range(1, 6) for m in catalogs[n].entries]
+    for m in entries + cyclic_draws:
         assert set(m.cyclic_sets()) == brute_cyclic_sets(m), m
 
 
@@ -191,9 +191,9 @@ def _assert_cyclic_sets_by_nullity(m):
         assert set().union(*levels) == set(m.cyclic_sets()), m
 
 
-def test_cyclic_nullity_filter_on_the_catalogs(basis_catalogs):
+def test_cyclic_nullity_filter_on_the_catalogs(catalogs):
     for n in range(1, 6):
-        for m in basis_catalogs[n].entries:
+        for m in catalogs[n].entries:
             _assert_cyclic_sets_by_nullity(m)
 
 
@@ -215,10 +215,10 @@ def test_cyclic_nullity_filter_above_the_scan_cap():
     _assert_cyclic_sets_by_nullity(m)
 
 
-def test_cyclic_nullity_strictly_monotone(basis_catalogs):
+def test_cyclic_nullity_strictly_monotone(catalogs):
     # a proper subset of a cyclic set always has smaller nullity
     for n in range(1, 5):
-        for m in basis_catalogs[n].entries:
+        for m in catalogs[n].entries:
             for big in m.cyclic_sets():
                 if big == 0:
                     continue
@@ -261,8 +261,8 @@ def test_loops_and_nullity(loops2):
     assert loops2.nullity(0b11) == 2
 
 
-def test_from_bases_round_trip(basis_catalogs, draws):
-    for m in [m for n in range(1, 6) for m in basis_catalogs[n].entries] + draws:
+def test_from_bases_round_trip(catalogs, draws):
+    for m in [m for n in range(1, 6) for m in catalogs[n].entries] + draws:
         assert Matroid.from_bases(m.ground, brute_bases(m)) == m
     with pytest.raises(ExchangeFailure):
         Matroid.from_bases(default_ground(4), [0b0011, 0b1100])

@@ -47,25 +47,25 @@ def test_contract_collapses_rank(u13):
     assert c.circuits.members == (0b01, 0b10)
 
 
-def test_contract_matches_rank_definition(basis_catalogs):
+def test_contract_matches_rank_definition(catalogs):
     for n in range(2, 5):
-        for m in basis_catalogs[n].entries:
+        for m in catalogs[n].entries:
             for z in range(1, 1 << n):
                 if z == m.ground.full_mask:
                     continue
                 assert contract(m, z) == _brute_contract(m, z)
 
 
-def test_minor_rank_formulas(basis_catalogs):
-    for m in basis_catalogs[4].entries:
+def test_minor_rank_formulas(catalogs):
+    for m in catalogs[4].entries:
         for z in range(1, 15):
             keep = m.ground.full_mask & ~z
             assert contract(m, z).rank() == m.rank() - m.rank(z)
             assert delete(m, z).rank() == m.rank(keep)
 
 
-def test_delete_contract_commute_on_disjoint_parts(basis_catalogs):
-    for m in basis_catalogs[4].entries:
+def test_delete_contract_commute_on_disjoint_parts(catalogs):
+    for m in catalogs[4].entries:
         d_mask, c_mask = 0b0001, 0b0100
         a = contract(delete(m, d_mask), 0b010)  # c sits at bit 1 after deleting a
         b = delete(contract(m, c_mask), 0b001)  # a still at bit 0 after contracting c

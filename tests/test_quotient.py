@@ -89,13 +89,13 @@ def test_loops_must_be_covered():
     assert not ref.holds and ref.circuit == 0b01
 
 
-def test_certify_agrees_with_flat_inclusion(basis_catalogs):
+def test_certify_agrees_with_flat_inclusion(catalogs):
     # M is a quotient of L iff every flat of M is a flat of L (Oxley, Matroid
     # Theory, 2nd ed., Prop. 7.3.6): on every pair with n <= 4, then on
     # seeded pairs at n = 6..8, lifted minor pairs and independent draws
     pairs = 0
     for n in range(1, 5):
-        entries = basis_catalogs[n].entries
+        entries = catalogs[n].entries
         flats = [brute_flats(m) for m in entries]
         for i, m in enumerate(entries):
             for j, l in enumerate(entries):
@@ -195,12 +195,12 @@ def test_wrong_candidate_family_is_caught(u13, u23, monkeypatch, tamper):
         assert docs["N"] == Matroid(docs["N"].ground, l.circuits)
 
 
-def test_witness_family_matches_the_brute_force_construction(basis_catalogs):
+def test_witness_family_matches_the_brute_force_construction(catalogs):
     # N's circuits are L's circuits plus A + Z for every cyclic set A of M of
     # nullity c that L leaves independent and every s+1-c new elements Z; the
     # cyclic sets come from the brute-force oracle, and the expected N goes
     # through the checking constructor
-    for w in catalog_witnesses(basis_catalogs, 4):
+    for w in catalog_witnesses(catalogs, 4):
         e, s = len(w.m.ground), len(w.x_labels)
         by_nullity = brute_cyclic_sets_by_nullity(w.m)
         expected = list(w.l.circuits)
@@ -212,11 +212,11 @@ def test_witness_family_matches_the_brute_force_construction(basis_catalogs):
         assert w.n == Matroid(w.n.ground, expected)
 
 
-def test_witness_rank_is_the_closed_form(basis_catalogs):
+def test_witness_rank_is_the_closed_form(catalogs):
     # r_N(A + Y) = min(r_L(A) + |Y|, r_M(A) + s) for every A on the ground
     # and every set Y of new elements
     checks = 0
-    for w in catalog_witnesses(basis_catalogs, 4):
+    for w in catalog_witnesses(catalogs, 4):
         e, s = len(w.m.ground), len(w.x_labels)
         for a in range(1 << e):
             for y in range(1 << s):
@@ -303,11 +303,11 @@ def _prefix_stages(w, stages, order):
                  for i in range(len(order) + 1))
 
 
-def test_factor_stages_are_witness_minors(basis_catalogs):
+def test_factor_stages_are_witness_minors(catalogs):
     # the chain ends are the operands themselves; here they are checked
     # against the witness minors like every middle stage, and the lattice
     # stages are the minors taken directly
-    for w in catalog_witnesses(basis_catalogs, 3):
+    for w in catalog_witnesses(catalogs, 3):
         stages = lattice_stages(w)
         assert len(stages) == 1 << len(w.x_labels)
         for order in permutations(w.x_labels):
@@ -326,11 +326,11 @@ def test_factor_without_a_witness_builds_none(u13, u23, f3, monkeypatch):
     assert factor_homotopy(u13, f3, ("x2", "x1")).steps == (u13, u23, f3)
 
 
-def test_formula_route_equals_witness_route_on_the_catalogs(basis_catalogs):
+def test_formula_route_equals_witness_route_on_the_catalogs(catalogs):
     # every n <= 4 witness under every label order: the closed-form chain is
     # N's minors along that order
     chains = 0
-    for w in catalog_witnesses(basis_catalogs, 4):
+    for w in catalog_witnesses(catalogs, 4):
         stages = lattice_stages(w)
         for order in permutations(w.x_labels):
             assert factor_homotopy(w.m, w.l, order).steps == _prefix_stages(w, stages, order)
@@ -338,10 +338,10 @@ def test_formula_route_equals_witness_route_on_the_catalogs(basis_catalogs):
     assert chains == 931
 
 
-def test_formula_route_equals_witness_route_on_sampled_n5_pairs(basis_catalogs):
+def test_formula_route_equals_witness_route_on_sampled_n5_pairs(catalogs):
     # a seeded sample of the n = 5 pairs with step >= 2: every lattice stage
     # D of N is the closed-form chain's stage |D|
-    cat = basis_catalogs[5]
+    cat = catalogs[5]
     pairs = sorted(p for p, s in cat.certified.items() if s >= 2)
     assert Counter(cat.certified[p] for p in pairs) == {2: 3444, 3: 898, 4: 62, 5: 1}
     stages = 0
@@ -377,7 +377,7 @@ def test_formula_route_is_the_higgs_factorization_on_random_pairs():
     assert (lifted, middle) == (17, 15)
 
 
-def test_homotopy_sweep_fails_on_a_stage_off_the_closed_form(basis_catalogs, monkeypatch):
+def test_homotopy_sweep_fails_on_a_stage_off_the_closed_form(catalogs, monkeypatch):
     # the chain factors, but its stage 1 is not N's minor at any one deleted label
     factor = quotient.factor_homotopy
 
@@ -386,18 +386,18 @@ def test_homotopy_sweep_fails_on_a_stage_off_the_closed_form(basis_catalogs, mon
         return quotient.HomotopySequence((m, Matroid(m.ground, []), *steps[2:]))
 
     monkeypatch.setattr(quotient, "factor_homotopy", skewed)
-    out = homotopy_sweep(3, basis_catalogs)
+    out = homotopy_sweep(3, catalogs)
     assert not out.ok
     assert "stage 0b1 of" in out.details and "differs from chain stage 1" in out.details
 
 
-def test_homotopy_sweep_fails_on_a_chain_that_does_not_factor(basis_catalogs, monkeypatch):
+def test_homotopy_sweep_fails_on_a_chain_that_does_not_factor(catalogs, monkeypatch):
     # every stage equals the closed form, and the one chain check still runs
     def refuse(m, l, labels, witness=None):
         raise FactorizationFailure("stage 1 has rank 3, expected 2")
 
     monkeypatch.setattr(quotient, "factor_homotopy", refuse)
-    out = homotopy_sweep(3, basis_catalogs)
+    out = homotopy_sweep(3, catalogs)
     assert not out.ok
     assert "factorization failed for" in out.details and "stage 1 has rank 3" in out.details
 
@@ -443,8 +443,8 @@ def test_remark_comparison_shifted_reading_wins(u13, u23, f3):
             assert row.minor_circuits == row.shifted
 
 
-def test_remark_comparison_rows_are_the_closed_forms(basis_catalogs):
-    for w in catalog_witnesses(basis_catalogs, 3):
+def test_remark_comparison_rows_are_the_closed_forms(catalogs):
+    for w in catalog_witnesses(catalogs, 3):
         m, l = w.m, w.l
         rows = remark_comparison(w)
         assert [r.i for r in rows] == list(range(len(w.x_labels) + 1))
