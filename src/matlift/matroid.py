@@ -70,8 +70,7 @@ class FundamentalFamily:
 class Matroid:
     """Matroid on a labelled ground set, given by its circuits."""
 
-    # _dual stays unset until dual() first runs
-    __slots__ = ("ground", "circuits", "_rank_memo", "_dual")
+    __slots__ = ("ground", "circuits", "_rank_memo")
 
     def __init__(self, ground: GroundSet, circuits: SetFamily | Iterable[int]):
         fam = circuits if isinstance(circuits, SetFamily) else SetFamily(circuits)
@@ -198,20 +197,12 @@ class Matroid:
 
         Its circuits are read off those complements by ``circuits_of_bases``.
         No exchange check runs on the complements, since duality implies it;
-        the constructor checks the circuits. ``bases`` refuses ground sets
-        above ``SUBSET_TABLE_CAP``.
-
-        The result is built once and kept on this matroid. It does not point
-        back, so ``m.dual().dual()`` builds a second dual and compares fresh.
+        the constructor checks the circuits on every call, since nothing is
+        kept. ``bases`` refuses ground sets above ``SUBSET_TABLE_CAP``.
         """
-        try:
-            return self._dual
-        except AttributeError:
-            pass
         full = self.ground.full_mask
         complements = [full & ~b for b in self.bases()]
-        self._dual = Matroid(self.ground, circuits_of_bases(self.ground, complements))
-        return self._dual
+        return Matroid(self.ground, circuits_of_bases(self.ground, complements))
 
     # ------------------------------------------------- fundamental circuits
 

@@ -1,3 +1,4 @@
+import random
 import sys
 
 # no bytecode from the package or the test helpers: a test run leaves the
@@ -12,7 +13,7 @@ from hypothesis import configuration, settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from matlift import minors, quotient
-from matlift.enumeration import enumerate_matroids
+from matlift.enumeration import enumerate_matroids, random_matroid
 from matlift.sets import SetFamily
 
 from helpers import mk
@@ -55,6 +56,13 @@ def catalog_6():
 def circuit_catalogs():
     """All labelled matroids on 1..5 elements, circuit route."""
     return {n: enumerate_matroids(n, "circuit") for n in range(1, 6)}
+
+
+@pytest.fixture(scope="session")
+def draws():
+    """200 seeded random matroids on 6-10 elements, past the catalogs."""
+    rng = random.Random(19)
+    return [random_matroid(rng, 6 + k % 5) for k in range(200)]
 
 
 @pytest.fixture

@@ -71,7 +71,6 @@ def test_criterion_3_lift_criterion(catalogs, capsys):
     _verdict(capsys, ok, "3 (certified pairs admit verified witnesses)", out.details, t0, 300)
 
 
-@pytest.mark.slow
 def test_criterion_3_lift_criterion_n5(catalogs, capsys):
     t0 = time.perf_counter()
     out = sweeps.lift_criterion_sweep(5, catalogs)
@@ -120,7 +119,6 @@ def test_criterion_6_homotopy_orderings(catalogs, capsys):
     _verdict(capsys, ok, "6 (factorization under every ordering)", out.details, t0, 300)
 
 
-@pytest.mark.slow
 def test_criterion_6_homotopy_orderings_n5(catalogs, capsys):
     t0 = time.perf_counter()
     out = sweeps.homotopy_sweep(5, catalogs)
@@ -187,7 +185,6 @@ def test_criterion_8_remark_report(catalogs, capsys):
              out.details + f"; report at {report_path}", t0, 300)
 
 
-@pytest.mark.slow
 def test_criterion_8_remark_report_n5(catalogs, capsys):
     t0 = time.perf_counter()
     out = sweeps.remark_comparison_sweep(5, catalogs)
