@@ -92,13 +92,8 @@ def enumerate_matroids(ground: Union[GroundSet, int], method: str = "extension")
     g = _as_ground(ground)
     n = len(g)
     if method == "extension":
-        if n > EXTENSION_ENUM_CAP:
-            raise GroundTooLarge(f"extension route handles at most {EXTENSION_ENUM_CAP} elements")
-        if n == 1:
-            entries = [Matroid(g, [1]), Matroid(g, [])]
-        else:
-            below = enumerate_matroids(GroundSet(g.labels[:-1]))
-            entries = [m for l in below.entries for m in _extensions(l, g)]
+        *_, catalog = _extension_catalogs(g)
+        return catalog
     elif method == "circuit":
         if n > CIRCUIT_ENUM_CAP:
             raise GroundTooLarge(f"circuit route handles at most {CIRCUIT_ENUM_CAP} elements")
@@ -107,6 +102,20 @@ def enumerate_matroids(ground: Union[GroundSet, int], method: str = "extension")
         raise ValueError(f"unknown enumeration method {method!r}")
     entries.sort(key=catalog_line)
     return MatroidCatalog(g, tuple(entries))
+
+
+def _extension_catalogs(g: GroundSet) -> Iterator[MatroidCatalog]:
+    """The extension route's catalogs on the prefixes of ``g``, each from the last."""
+    if len(g) > EXTENSION_ENUM_CAP:
+        raise GroundTooLarge(f"extension route handles at most {EXTENSION_ENUM_CAP} elements")
+    catalog = None
+    for k in range(1, len(g) + 1):
+        h = GroundSet(g.labels[:k])
+        entries = ([Matroid(h, [1]), Matroid(h, [])] if catalog is None
+                   else [m for l in catalog.entries for m in _extensions(l, h)])
+        entries.sort(key=catalog_line)
+        catalog = MatroidCatalog(h, tuple(entries))
+        yield catalog
 
 
 def _extensions(l: Matroid, big: GroundSet) -> list[Matroid]:

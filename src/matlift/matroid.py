@@ -68,9 +68,10 @@ class FundamentalFamily:
 
 
 class Matroid:
-    """Matroid on a labelled ground set, given by its circuits."""
+    """Matroid on a labelled ground set, given by its circuits. It caches a rank
+    memo per subset and, from first use, the circuits through each element."""
 
-    __slots__ = ("ground", "circuits", "_rank_memo")
+    __slots__ = ("ground", "circuits", "_rank_memo", "_through")
 
     def __init__(self, ground: GroundSet, circuits: SetFamily | Iterable[int]):
         fam = circuits if isinstance(circuits, SetFamily) else SetFamily(circuits)
@@ -88,6 +89,14 @@ class Matroid:
         self.ground = report.ground
         self.circuits = report.family
         self._rank_memo: dict[int, int] = {}
+        self._through: Optional[list[list[int]]] = None
+
+    def _circuits_through(self) -> list[list[int]]:
+        """For each element index, the circuits through it, in family order."""
+        if self._through is None:
+            members, n = self.circuits.members, len(self.ground)
+            self._through = [[c for c in members if c >> i & 1] for i in range(n)]
+        return self._through
 
     # --------------------------------------------------------- constructors
 
@@ -143,15 +152,17 @@ class Matroid:
 
     def is_dependent(self, a: int) -> bool:
         self.ground.check_mask(a)
-        return any(c & ~a == 0 for c in self.circuits)
+        for c in self.circuits.members:
+            if c & ~a == 0:
+                return True
+        return False
 
     def is_independent(self, a: int) -> bool:
         return not self.is_dependent(a)
 
     def rank(self, a: Optional[int] = None) -> int:
         """Rank of ``a`` (default: the whole ground set), memoized per subset."""
-        if a is None:
-            a = self.ground.full_mask
+        a = self.ground.full_mask if a is None else a
         memo = self._rank_memo
         got = memo.get(a)
         if got is None:
@@ -163,20 +174,23 @@ class Matroid:
 
         ``start`` must be an independent subset of ``a``; the other elements
         of ``a`` are added greedily in ascending ground order whenever the set
-        stays independent.
+        stays independent. Every grown set is then independent, so only circuits
+        through the added element are tested; a dependent ``start`` gives a wrong set.
         """
         self.ground.check_mask(a)
-        circuits = self.circuits.members
+        through = self._circuits_through()
         current = start
         for i in bit_indices(a & ~start):
             cand = current | (1 << i)
-            if not any(c & ~cand == 0 for c in circuits):
+            for c in through[i]:
+                if c & ~cand == 0:
+                    break
+            else:
                 current = cand
         return current
 
     def nullity(self, a: Optional[int] = None) -> int:
-        if a is None:
-            a = self.ground.full_mask
+        a = self.ground.full_mask if a is None else a
         return a.bit_count() - self.rank(a)
 
     # ------------------------------------------------------------ bases, dual
@@ -186,11 +200,14 @@ class Matroid:
         C(n, r) masks, so ground sets above ``SUBSET_TABLE_CAP`` are refused first."""
         require_subset_table(self.ground)
         circuits = self.circuits.members
-        return SetFamily(
-            b
-            for b in masks_of_size(len(self.ground), self.rank())
-            if all(c & ~b for c in circuits)
-        )
+        out = []
+        for b in masks_of_size(len(self.ground), self.rank()):
+            for c in circuits:
+                if c & ~b == 0:
+                    break
+            else:
+                out.append(b)
+        return SetFamily(out)
 
     def dual(self) -> "Matroid":
         """Dual matroid, whose bases are the complements of this matroid's bases.
@@ -219,7 +236,7 @@ class Matroid:
                 f"element {self.ground.labels[x]} is already in the set"
             )
         closed = independent | (1 << x)
-        found = [c for c in self.circuits if c & ~closed == 0]
+        found = [c for c in self._circuits_through()[x] if c & ~closed == 0]
         if not found:
             raise StillIndependent(
                 f"{self.ground.format_mask(independent)} stays independent with "
@@ -245,9 +262,11 @@ class Matroid:
         """True iff ``a`` is a union of circuits (the empty set counts)."""
         self.ground.check_mask(a)
         cover = 0
-        for c in self.circuits:
+        for c in self.circuits.members:
             if c & ~a == 0:
                 cover |= c
+                if cover == a:
+                    return True
         return cover == a
 
     def cyclic_sets(self, nullity: Optional[int] = None) -> SetFamily:
@@ -282,13 +301,6 @@ class Matroid:
             else:
                 frontier = {u for u in grown if self.nullity(u) == step}
         return SetFamily(reached if nullity is None else frontier)
-
-    # ---------------------------------------------------------- conveniences
-
-    def restriction_circuits(self, a: int) -> SetFamily:
-        """Circuits contained in ``a``."""
-        self.ground.check_mask(a)
-        return SetFamily(c for c in self.circuits if c & ~a == 0)
 
 
 def free_matroid(ground: GroundSet) -> Matroid:

@@ -411,12 +411,15 @@ def lemma_span_witness(m: Matroid, a: int) -> FundamentalFamily:
     the union of all circuits inside ``a`` and that there are exactly
     nullity(a) of them; failure raises LemmaCounterexample.
     """
-    m.ground.check_mask(a)
     if m.is_independent(a):
         raise NotDependent(m.ground.format_mask(a))
     independent = m.max_independent(a)
     fam = m.fundamental_family(independent, a & ~independent)
-    if fam.union_mask != m.restriction_circuits(a).union_mask or fam.size != m.nullity(a):
+    covered = 0
+    for c in m.circuits.members:
+        if c & ~a == 0:
+            covered |= c
+    if fam.union_mask != covered or fam.size != m.nullity(a):
         raise LemmaCounterexample(
             "span witness failed on " + m.ground.format_mask(a), dump_text(("M", m))
         )
@@ -481,7 +484,7 @@ def cyclic_elimination(m: Matroid, a1: int, a2: int, a: int) -> int:
     target_nullity = m.nullity(a1)
     region = (a1 | a2) & ~bit
     for cand in submasks(region):
-        if m.nullity(cand) == target_nullity and m.is_cyclic(cand):
+        if m.is_cyclic(cand) and m.nullity(cand) == target_nullity:
             return cand
     raise LemmaCounterexample(
         f"no replacement cyclic set avoiding {m.ground.labels[a]} in "
@@ -500,7 +503,6 @@ def base_family_witness(
     that the fundamental circuits of a's leftover elements over B number
     nullity(a), include ``d_circuit`` (rooted at d), and union to ``a``.
     """
-    m.ground.check_mask(a)
     if not m.is_cyclic(a):
         raise PreconditionFailure("first argument must be cyclic")
     if d_circuit not in m.circuits:

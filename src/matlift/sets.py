@@ -44,8 +44,7 @@ def submasks(mask: int) -> Iterator[int]:
 
 def masks_of_size(n: int, k: int) -> Iterator[int]:
     """Yield the k-subsets of ``range(n)`` as masks, in ``combinations`` order."""
-    for combo in combinations(range(n), k):
-        yield sum(1 << i for i in combo)
+    return map(sum, combinations([1 << i for i in range(n)], k))
 
 
 def compress(mask: int, keep: int) -> int:
@@ -76,7 +75,7 @@ class GroundSet:
     Equality is label-for-label, order included.
     """
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_index", "full_mask")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -95,6 +94,7 @@ class GroundSet:
             index[lab] = i
         self.labels = labels
         self._index = index
+        self.full_mask = (1 << len(labels)) - 1
 
     # -- basics
 
@@ -114,10 +114,6 @@ class GroundSet:
         return f"GroundSet({','.join(self.labels)})"
 
     # -- label/mask conversions
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.labels)) - 1
 
     def index(self, label: str) -> int:
         try:

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional
 from . import quotient
 from .enumeration import (
     MatroidCatalog,
+    _extension_catalogs,
     enumerate_matroids,
     lift_buckets,
     random_matroid,
@@ -63,7 +64,7 @@ CatalogMap = dict[int, MatroidCatalog]
 
 
 def build_catalogs(max_n: int) -> CatalogMap:
-    return {n: enumerate_matroids(n) for n in range(1, max_n + 1)}
+    return dict(enumerate(_extension_catalogs(default_ground(max_n)), start=1))
 
 
 def certified_pairs(catalogs: CatalogMap, max_n: int) -> Iterator[tuple[Matroid, Matroid, int]]:
@@ -239,9 +240,9 @@ def matroid_lemma_checks(
         if m.is_dependent(a):
             quotient.lemma_span_witness(m, a)
             counts["span"] += 1
-    cyclic_pairs = (
+    cyclic_pairs = [
         (a1, a2) for a1 in cyclic for a2 in cyclic if a1 != a2 and a2 & ~a1 != 0
-    )
+    ]
     for a1, a2 in _sampled(cyclic_pairs, sample):
         quotient.cyclic_extension(m, a1, a2)
         counts["extension"] += 1
