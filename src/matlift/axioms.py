@@ -5,9 +5,10 @@ validated matroid exists. They return a report instead of raising; bulk scans
 over garbage input stay cheap and callers decide what a failure means.
 
 Scan order is fixed: family members in canonical order, elements in ascending
-bit order, and checking stops at the first violation. The witness in a failed
-report is therefore the least violation under that order, and replaying it
-against the same family reproduces the failure.
+bit order, and checking stops at the first violation (weak elimination settles
+all shared elements of a pair in one scan and reports the least failing one).
+The witness in a failed report is therefore the least violation under that
+order, and replaying it against the same family reproduces the failure.
 
 Axiom identifiers:
 
@@ -80,9 +81,12 @@ def check_circuit_axioms(
 ) -> AxiomReport:
     """Check a candidate circuit family; ``strong=True`` adds AC2!.
 
-    Exhaustive over all circuit pairs and elements. Elimination existence is
-    decided by taking the union of all family members inside the allowed
-    region, so one pass over the family settles every target element at once.
+    Exhaustive over all circuit pairs and elements. The weak check scans the
+    family once per pair c1, c2 meeting in k: a circuit inside (c1 | c2) - e
+    exists unless e lies in k and in every member inside c1 | c2, so the
+    lowest bit of that intersection is the least failing e. The strong check
+    takes, per shared e, the union of all members inside (c1 | c2) - e, so one
+    pass settles every target d at once.
     """
     ground.check_mask(family.union_mask if family else 0)
     ms = family.members
@@ -98,6 +102,18 @@ def check_circuit_axioms(
             common = c1 & c2
             if not common:
                 continue
+            if not strong:
+                union = c1 | c2
+                meet = common
+                for c in ms:
+                    if c & ~union == 0:
+                        meet &= c
+                        if not meet:
+                            break
+                if meet:
+                    e = (meet & -meet).bit_length() - 1
+                    return _report(ground, family, Violation("AC2", (c1, c2, e)))
+                continue
             for e in bit_indices(common):
                 region = (c1 | c2) & ~(1 << e)
                 cover = 0
@@ -106,15 +122,14 @@ def check_circuit_axioms(
                         cover |= c
                 if cover == 0:
                     return _report(ground, family, Violation("AC2", (c1, c2, e)))
-                if strong:
-                    missing = (c1 ^ c2) & ~cover
-                    if missing:
-                        d = next(bit_indices(missing))
-                        if c1 >> d & 1:
-                            wit = (c1, c2, e, d)
-                        else:
-                            wit = (c2, c1, e, d)
-                        return _report(ground, family, Violation("AC2!", wit))
+                missing = (c1 ^ c2) & ~cover
+                if missing:
+                    d = next(bit_indices(missing))
+                    if c1 >> d & 1:
+                        wit = (c1, c2, e, d)
+                    else:
+                        wit = (c2, c1, e, d)
+                    return _report(ground, family, Violation("AC2!", wit))
     return _report(ground, family)
 
 

@@ -51,9 +51,15 @@ class MatroidDocument:
         return Matroid(ground, [ground.mask_of(c) for c in self.circuit_labels])
 
 
+# any head word, then label words; ``\s`` and ``str.split`` agree on whitespace
+_LINE_RE = re.compile(r"\s*\S+(?:\s+[A-Za-z0-9_]+)*\s*")
+
+
 def _tokens(code: str, lineno: int) -> list[str]:
     """The words of ``code``, a raw line without its comment; a bad argument
     word raises ParseError with its 1-based column in that line."""
+    if _LINE_RE.fullmatch(code):
+        return code.split()
     words = list(re.finditer(r"\S+", code))
     for w in words[1:]:
         if not LABEL_RE.fullmatch(w.group()):

@@ -86,6 +86,35 @@ def brute_minimal_dependent(n: int, dependent) -> SetFamily:
     return SetFamily(found)
 
 
+def per_element_circuit_axioms(family: SetFamily, strong: bool = False):
+    """The least circuit-axiom violation of ``family`` as ``(axiom, witness)``,
+    or None: the same scan order as ``check_circuit_axioms``, but elimination
+    rescans the whole family for every shared element e, taking the union of
+    the members inside (c1 | c2) - e."""
+    ms = family.members
+    if 0 in ms:
+        return "AC0", (0,)
+    for small, big in combinations(ms, 2):
+        if small & ~big == 0:
+            return "AC1", (small, big)
+    for c1, c2 in combinations(ms, 2):
+        for e in range(max(c1, c2).bit_length()):
+            if not (c1 & c2) >> e & 1:
+                continue
+            region = (c1 | c2) & ~(1 << e)
+            cover = 0
+            for c in ms:
+                if c & ~region == 0:
+                    cover |= c
+            if cover == 0:
+                return "AC2", (c1, c2, e)
+            missing = (c1 ^ c2) & ~cover
+            if strong and missing:
+                d = (missing & -missing).bit_length() - 1
+                return "AC2!", (c1, c2, e, d) if c1 >> d & 1 else (c2, c1, e, d)
+    return None
+
+
 def brute_exchange(bases: list[int]) -> bool:
     """Basis exchange: for bases b1, b2 and x in b1 - b2, some y in b2 - b1
     makes b1 - x + y a basis."""

@@ -7,12 +7,14 @@ minimal-dependent under the induced independence system are the family
 itself and that system satisfies the augmentation axiom.
 """
 
+import random
+from collections import Counter
 from itertools import combinations
 
 from matlift.axioms import check_basis_exchange, check_circuit_axioms
 from matlift.sets import SetFamily, default_ground, submasks
 
-from helpers import mk
+from helpers import mk, per_element_circuit_axioms
 
 
 def _families(n):
@@ -117,13 +119,63 @@ def test_ac2_violation_witness_is_replayable():
 
 
 def test_strong_violation_names_the_missing_element():
-    g = default_ground(4)
-    # weak elimination holds but d = the top bit of c1 is never retained
-    fam = SetFamily([0b0111, 0b1100, 0b0011, 0b1000 | 0b0001])
-    rep_weak = check_circuit_axioms(g, fam)
+    g = default_ground(5)
+    fam = SetFamily([0b01110, 0b10011, 0b10101])
+    # the first pair meets at 1, and 0b10101 eliminates it but misses d = 3 of
+    # 0b01110; the weak scan passes both pairs through 0b01110 and fails on the
+    # third, whose union holds no other member
     rep = check_circuit_axioms(g, fam, strong=True)
-    if rep_weak.passed and not rep.passed:
-        assert rep.violations[0].axiom == "AC2!"
+    assert [(v.axiom, v.witness) for v in rep.violations] == [
+        ("AC2!", (0b01110, 0b10011, 1, 3))
+    ]
+    rep_weak = check_circuit_axioms(g, fam)
+    assert [(v.axiom, v.witness) for v in rep_weak.violations] == [
+        ("AC2", (0b10011, 0b10101, 0))
+    ]
+
+
+def _verdict(report):
+    return [(v.axiom, v.witness) for v in report.violations] or [None]
+
+
+def _random_family(rng, n):
+    """One to 8 random masks on n elements, the empty set now and then, and
+    three times in four reduced to a clutter, so every axiom gets to fail."""
+    masks = {rng.randrange(1 << n) for _ in range(rng.randint(1, 8))}
+    if rng.random() < 0.75:
+        masks.discard(0)
+        masks = {a for a in masks if not any(b != a and b & ~a == 0 for b in masks)}
+    return SetFamily(masks)
+
+
+def test_circuit_checker_matches_per_element_oracle_on_random_families():
+    rng = random.Random(24)
+    seen = Counter()
+    for k in range(20000):
+        n = 2 + k % 6
+        fam = _random_family(rng, n)
+        g = default_ground(n)
+        for strong in (False, True):
+            verdict = _verdict(check_circuit_axioms(g, fam, strong=strong))
+            assert verdict == [per_element_circuit_axioms(fam, strong)], (fam, strong)
+            seen[verdict[0] and verdict[0][0]] += 1
+    assert {"AC0", "AC1", "AC2", "AC2!", None} <= set(seen), seen
+
+
+def test_circuit_checker_matches_per_element_oracle_on_catalogs(catalogs):
+    # every entry passes; dropping one circuit leaves clutters that mostly fail
+    failed = 0
+    for n in range(1, 6):
+        for m in catalogs[n].entries:
+            ms = m.circuits.members
+            families = [m.circuits] + [SetFamily(ms[:i] + ms[i + 1:]) for i in range(len(ms))]
+            for fam in families:
+                for strong in (False, True):
+                    verdict = _verdict(check_circuit_axioms(m.ground, fam, strong=strong))
+                    assert verdict == [per_element_circuit_axioms(fam, strong)]
+                    failed += verdict != [None]
+            assert per_element_circuit_axioms(m.circuits, True) is None
+    assert failed > 0
 
 
 def test_basis_exchange_axioms():

@@ -1,11 +1,16 @@
 """Text format: documents, catalog lines, pair lines."""
 
+import random
+import re
+from collections import Counter
+
 import pytest
 
+from matlift import textio
 from matlift.errors import GroundTooLarge, ParseError, PreconditionFailure
 from matlift.enumeration import enumerate_matroids
-from matlift.matroid import Matroid
-from matlift.sets import default_ground
+from matlift.matroid import Matroid, uniform_matroid
+from matlift.sets import LABEL_RE, default_ground
 from matlift.textio import (
     catalog_line,
     pair_line,
@@ -90,6 +95,69 @@ def test_bad_token_column_points_into_the_raw_line(line):
         parse_document(f"matroid x\nground a b c\n{line}\nend\n")
     assert exc.value.line == 3
     assert line[exc.value.column - 1:].startswith("a$")
+
+
+def _per_word_tokens(code, lineno):
+    """The word-by-word tokenizer: every argument word checked on its own."""
+    words = list(re.finditer(r"\S+", code))
+    for w in words[1:]:
+        if not LABEL_RE.fullmatch(w.group()):
+            raise ParseError(f"bad token {w.group()!r}", lineno, w.start() + 1)
+    return [w.group() for w in words]
+
+
+def _outcome(tokenize, code, lineno):
+    try:
+        return tokenize(code, lineno)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+_GOOD_WORDS = ["a", "b7", "_", "x_1", "Z", "10", "matroid", "end"]
+_BAD_WORDS = ["$", "a$", "é", "λx", "a-b", "x.y", "!", "ß_1", "a\u00e9"]
+_SPACES = [" ", "  ", "\t", "\u00a0", " \t", "\u3000", "\u00a0 "]
+
+
+def _random_line(rng):
+    """A raw line: a head word, up to 5 argument words, any of them bad, mixed
+    whitespace (tabs, U+00A0, U+3000) around them, and now and then a comment."""
+    head = rng.choice(["matroid", "ground", "circuit", "end", *_GOOD_WORDS, *_BAD_WORDS])
+    words = [head] + [
+        rng.choice(_BAD_WORDS if rng.random() < 0.15 else _GOOD_WORDS)
+        for _ in range(rng.randint(0, 5))
+    ]
+    line = rng.choice(["", *_SPACES]) + "".join(
+        w + rng.choice(_SPACES) for w in words[:-1]
+    ) + words[-1] + rng.choice(["", *_SPACES])
+    if rng.random() < 0.3:
+        line += rng.choice(["#", " # note", "#$ é", "\t# a$ b"])
+    return line, words
+
+
+def test_line_regex_tokenizer_matches_per_word_scan():
+    rng = random.Random(24)
+    seen = Counter()
+    for lineno in range(1, 4001):
+        line, words = _random_line(rng)
+        code = line.split("#", 1)[0]
+        got = _outcome(textio._tokens, code, lineno)
+        assert got == _outcome(_per_word_tokens, code, lineno), repr(line)
+        if isinstance(got, list):
+            assert got == words
+            seen["head bad" if words[0] in _BAD_WORDS else "tokens"] += 1
+        else:
+            bad = [i for i, w in enumerate(words) if i and w in _BAD_WORDS]
+            seen["last bad" if bad[0] == len(words) - 1 else "middle bad"] += 1
+    assert min(seen[k] for k in ("tokens", "head bad", "middle bad", "last bad")) >= 100, seen
+
+
+def test_uniform_11_5_round_trips_through_text():
+    # 462 six-element circuits: the weak elimination check scans the family
+    # once per circuit pair, not once per shared element
+    u = uniform_matroid(default_ground(11), 5)
+    back = parse_matroid_text(serialize_matroid_text(u, "u11_5"))
+    assert back.rank() == 5 and len(back.circuits) == 462
+    assert back == u
 
 
 def test_catalog_line_round_trip():
