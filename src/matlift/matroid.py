@@ -69,9 +69,10 @@ class FundamentalFamily:
 
 class Matroid:
     """Matroid on a labelled ground set, given by its circuits. It caches a rank
-    memo per subset and, from first use, the circuits through each element."""
+    memo per subset and, from first use, the circuits through each element and
+    the cyclic sets of each nullity asked for so far."""
 
-    __slots__ = ("ground", "circuits", "_rank_memo", "_through")
+    __slots__ = ("ground", "circuits", "_rank_memo", "_through", "_levels")
 
     def __init__(self, ground: GroundSet, circuits: SetFamily | Iterable[int]):
         fam = circuits if isinstance(circuits, SetFamily) else SetFamily(circuits)
@@ -90,6 +91,7 @@ class Matroid:
         self.circuits = report.family
         self._rank_memo: dict[int, int] = {}
         self._through: Optional[list[list[int]]] = None
+        self._levels: Optional[list[SetFamily]] = None
 
     def _circuits_through(self) -> list[list[int]]:
         """For each element index, the circuits through it, in family order."""
@@ -258,49 +260,54 @@ class Matroid:
 
     # ------------------------------------------------------------ cyclic sets
 
-    def is_cyclic(self, a: int) -> bool:
-        """True iff ``a`` is a union of circuits (the empty set counts)."""
+    def cyclic_part(self, a: int) -> int:
+        """The union of the circuits inside ``a``, its largest cyclic subset."""
         self.ground.check_mask(a)
-        cover = 0
+        out = 0
         for c in self.circuits.members:
             if c & ~a == 0:
-                cover |= c
-                if cover == a:
-                    return True
-        return cover == a
+                out |= c
+                if out == a:
+                    break
+        return out
+
+    def is_cyclic(self, a: int) -> bool:
+        """True iff ``a`` is a union of circuits (the empty set counts)."""
+        return self.cyclic_part(a) == a
 
     def cyclic_sets(self, nullity: Optional[int] = None) -> SetFamily:
         """All cyclic sets, optionally only those of one fixed nullity.
 
-        The sets are grown from the empty set: each step takes every union
-        of a frontier set with a circuit not inside it. Every cyclic set of
-        nullity k + 1 is such a union of one of nullity k: over a basis of
-        the set, the fundamental circuits of all but one outside element
-        make up the smaller set. So with ``nullity=k`` step t keeps the
-        unions of nullity t and step k is the answer. Without a filter the
-        frontier is the unions not reached before, and every set reached is
-        returned; that family can hold 2^n sets, so ground sets above
-        ``CYCLIC_ENUM_CAP`` are refused.
+        Level k holds the cyclic sets of nullity k; level 0 is the empty set,
+        and level k + 1 is the unions of a level-k set with a circuit not
+        inside it that have nullity k + 1. Every cyclic set of nullity k + 1
+        is such a union: over a basis of the set, the fundamental circuits of
+        all but one outside element make up a level-k set. Levels run from 0
+        to the matroid's nullity and are kept once grown, so the memo holds
+        only the levels up to the highest one asked for. With ``nullity=k``
+        the answer is level k; without a filter it is every level, which
+        can hold 2^n sets, so ground sets above ``CYCLIC_ENUM_CAP`` are
+        refused.
         """
         if nullity is None and len(self.ground) > CYCLIC_ENUM_CAP:
             raise GroundTooLarge(
                 f"listing every cyclic set needs at most {CYCLIC_ENUM_CAP} elements; "
                 "pass a nullity filter or use is_cyclic pointwise"
             )
-        if nullity is not None and nullity < 0:
+        top = self.nullity() if nullity is None else nullity
+        if not 0 <= top <= self.nullity():
             return SetFamily()
+        levels = self._levels
+        if levels is None:
+            levels = self._levels = [SetFamily((0,))]
         circuits = self.circuits.members
-        frontier, reached = {0}, {0}
-        step = 0
-        while frontier and step != nullity:
-            step += 1
-            grown = {a | c for a in frontier for c in circuits if c & ~a}
-            if nullity is None:
-                frontier = grown - reached
-                reached |= frontier
-            else:
-                frontier = {u for u in grown if self.nullity(u) == step}
-        return SetFamily(reached if nullity is None else frontier)
+        while len(levels) <= top:
+            step = len(levels)
+            grown = {a | c for a in levels[-1] for c in circuits if c & ~a}
+            levels.append(SetFamily(u for u in grown if self.nullity(u) == step))
+        if nullity is None:
+            return SetFamily(a for level in levels for a in level)
+        return levels[nullity]
 
 
 def free_matroid(ground: GroundSet) -> Matroid:

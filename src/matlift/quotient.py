@@ -25,7 +25,7 @@ whose ``dump`` (``textio.dump_text``) replays its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .axioms import AxiomReport, check_circuit_axioms
@@ -42,9 +42,7 @@ from .errors import (
 )
 from .matroid import FundamentalFamily, Matroid
 from .minors import contract, delete
-from .sets import (
-    GroundSet, SetFamily, bit_indices, masks_of_size, minimal_members, submasks,
-)
+from .sets import GroundSet, SetFamily, bit_indices, masks_of_size, minimal_members
 from .textio import dump_text
 
 
@@ -55,18 +53,23 @@ from .textio import dump_text
 class QuotientCertificate:
     """Positive outcome: every circuit of l is a union of circuits of m.
 
-    ``coverings`` maps each circuit of l to the tuple of circuits of m lying
-    inside it; their union is the circuit itself.
+    Only the operands and the rank step are stored. ``coverings`` is computed
+    when read: it maps each circuit of l, in family order, to the tuple of
+    circuits of m lying inside it; their union is the circuit itself.
     """
 
     m: Matroid
     l: Matroid
     step_s: int
-    coverings: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def holds(self) -> bool:
         return True
+
+    @property
+    def coverings(self) -> dict[int, tuple[int, ...]]:
+        inner = self.m.circuits.members
+        return {d: tuple(c for c in inner if c & ~d == 0) for d in self.l.circuits}
 
     def describe(self) -> str:
         g = self.m.ground
@@ -106,27 +109,24 @@ def certify_quotient(
     """Test the circuit-union criterion for the ordered pair (m, l).
 
     Scans the circuits of l in canonical order; the refusal carries the first
-    circuit that is not a union of m's circuits. On success the rank step is
+    circuit d that is not a union of m's circuits, that is, whose cyclic part
+    in m is not d itself, and the part of d outside it. A certificate holds
+    no covers; it lists them when read. On success the rank step is
     non-negative, and zero only for equal matroids; a violation of that would
     contradict a checked statement and raises LemmaCounterexample.
     """
     if m.ground != l.ground:
         raise GroundMismatch(f"{m.ground!r} vs {l.ground!r}")
-    coverings: dict[int, tuple[int, ...]] = {}
     for d in l.circuits:
-        cover = tuple(c for c in m.circuits if c & ~d == 0)
-        union = 0
-        for c in cover:
-            union |= c
-        if union != d:
-            return QuotientRefusal(m, l, d, d & ~union)
-        coverings[d] = cover
+        covered = m.cyclic_part(d)
+        if covered != d:
+            return QuotientRefusal(m, l, d, d & ~covered)
     step = l.rank() - m.rank()
     if step < 0 or (step == 0 and m != l):
         raise LemmaCounterexample(
             "rank order violated on a certified pair:", dump_text(("M", m), ("L", l))
         )
-    return QuotientCertificate(m, l, step, coverings)
+    return QuotientCertificate(m, l, step)
 
 
 def _certified(m: Matroid, l: Matroid) -> QuotientCertificate:
@@ -407,19 +407,15 @@ def lemma_span_witness(m: Matroid, a: int) -> FundamentalFamily:
     """Fundamental-circuit witness for the span of a dependent set.
 
     Grows a maximal independent subset I of ``a`` and returns the fundamental
-    circuits of the leftover elements over I. Checks that their union equals
-    the union of all circuits inside ``a`` and that there are exactly
-    nullity(a) of them; failure raises LemmaCounterexample.
+    circuits of the leftover elements over I. Checks that their union is
+    ``m.cyclic_part(a)``, the union of all circuits inside ``a``, and that
+    there are exactly nullity(a) of them; failure raises LemmaCounterexample.
     """
     if m.is_independent(a):
         raise NotDependent(m.ground.format_mask(a))
     independent = m.max_independent(a)
     fam = m.fundamental_family(independent, a & ~independent)
-    covered = 0
-    for c in m.circuits.members:
-        if c & ~a == 0:
-            covered |= c
-    if fam.union_mask != covered or fam.size != m.nullity(a):
+    if fam.union_mask != m.cyclic_part(a) or fam.size != m.nullity(a):
         raise LemmaCounterexample(
             "span witness failed on " + m.ground.format_mask(a), dump_text(("M", m))
         )
@@ -473,19 +469,19 @@ def cyclic_elimination(m: Matroid, a1: int, a2: int, a: int) -> int:
 
     Preconditions: both sets cyclic, distinct, ``a2`` not contained in
     ``a1``, and element ``a`` common to both. Returns a cyclic subset of the
-    union avoiding ``a`` with nullity equal to ``a1``'s. Decided by an
-    exhaustive scan over subsets of the union minus ``a``, so a miss is a
-    genuine counterexample and raises LemmaCounterexample.
+    union avoiding ``a`` with nullity equal to ``a1``'s: the least such set
+    by mask value, read off ``m.cyclic_sets`` at that nullity rather than
+    found by a scan over subsets. Every cyclic set of that nullity is looked
+    at, so a miss is a genuine counterexample and raises LemmaCounterexample.
     """
     _require_cyclic_pair(m, a1, a2)
     bit = 1 << a
     if not (a1 & bit and a2 & bit):
         raise PreconditionFailure("element must belong to both sets")
-    target_nullity = m.nullity(a1)
     region = (a1 | a2) & ~bit
-    for cand in submasks(region):
-        if m.is_cyclic(cand) and m.nullity(cand) == target_nullity:
-            return cand
+    inside = [c for c in m.cyclic_sets(nullity=m.nullity(a1)) if c & ~region == 0]
+    if inside:
+        return min(inside)
     raise LemmaCounterexample(
         f"no replacement cyclic set avoiding {m.ground.labels[a]} in "
         f"{m.ground.format_mask(a1 | a2)}",

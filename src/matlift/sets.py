@@ -32,16 +32,6 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """Yield every submask of ``mask`` in ascending numeric order."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
 def masks_of_size(n: int, k: int) -> Iterator[int]:
     """Yield the k-subsets of ``range(n)`` as masks, in ``combinations`` order."""
     return map(sum, combinations([1 << i for i in range(n)], k))

@@ -173,6 +173,8 @@ def parse_catalog_line(line: str, lineno: int = 1) -> tuple[int, int, SetFamily]
         rank = int(_field(parts[1], "rank", lineno))
     except ValueError:
         raise ParseError("non-integer n or rank", lineno) from None
+    if n < 1:
+        raise ParseError(f"n={n}: a catalog line needs at least one element", lineno)
     if n > CATALOG_MAX_N:
         raise ParseError(f"n={n}: catalog lines hold at most {CATALOG_MAX_N} elements", lineno)
     circ_text = _field(parts[2], "circuits", lineno)

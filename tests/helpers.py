@@ -7,6 +7,7 @@ implementation under test. ``replay_dump`` reads a failure dump back, and
 """
 
 from itertools import combinations
+from typing import Iterator, Optional
 
 from matlift.matroid import Matroid
 from matlift.quotient import LiftWitness, lift_witness
@@ -27,6 +28,16 @@ def mk(n_or_labels, *circuit_labels) -> Matroid:
 def lift(m: Matroid, l: Matroid) -> LiftWitness:
     """The lift witness of the certified pair (m, l), on fresh labels."""
     return lift_witness(m, l, fresh_labels(m.ground, l.rank() - m.rank()))
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Yield every submask of ``mask`` in ascending numeric order."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 def brute_independent(circuits: SetFamily, mask: int) -> bool:
@@ -203,6 +214,19 @@ def brute_cyclic_sets_by_nullity(m: Matroid) -> dict[int, set[int]]:
     for a in brute_cyclic_sets(m):
         out.setdefault(a.bit_count() - r(a), set()).add(a)
     return out
+
+
+def scan_cyclic_elimination(
+    by_nullity: dict[int, set[int]], a1: int, a2: int, a: int
+) -> Optional[int]:
+    """The first submask of (a1 | a2) - a, in ascending order, that is cyclic
+    with a1's nullity, or None: the subset scan ``cyclic_elimination`` once
+    made. ``by_nullity`` is ``brute_cyclic_sets_by_nullity`` of the matroid."""
+    target = next(k for k, level in by_nullity.items() if a1 in level)
+    for cand in submasks((a1 | a2) & ~(1 << a)):
+        if cand in by_nullity[target]:
+            return cand
+    return None
 
 
 def gf_rank(vectors: list[tuple[int, ...]], q: int) -> int:

@@ -12,9 +12,9 @@ from collections import Counter
 from itertools import combinations
 
 from matlift.axioms import check_basis_exchange, check_circuit_axioms
-from matlift.sets import SetFamily, default_ground, submasks
+from matlift.sets import SetFamily, default_ground
 
-from helpers import mk, per_element_circuit_axioms
+from helpers import mk, per_element_circuit_axioms, submasks
 
 
 def _families(n):

@@ -84,6 +84,15 @@ def test_quotient_exit_codes(files, capsys):
     assert "uncovered" in capsys.readouterr().out
 
 
+def test_quotient_certificate_output(files, capsys):
+    assert run_command(["quotient", files["u13"], files["u23"], "--certificate"]) == 0
+    assert capsys.readouterr().out == (
+        "holds: rank step 1\n"
+        "quotient holds with rank step 1\n"
+        "  {a,b,c} = union of {{a,b}, {a,c}, {b,c}}\n"
+    )
+
+
 def test_lift_writes_witness(files, tmp_path, capsys):
     out_dir = tmp_path / "w"
     assert run_command(

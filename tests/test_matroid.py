@@ -32,7 +32,7 @@ from matlift.matroid import (
     free_matroid,
     uniform_matroid,
 )
-from matlift.sets import GroundSet, SetFamily, default_ground, submasks
+from matlift.sets import GroundSet, SetFamily, default_ground
 
 from helpers import (
     brute_bases,
@@ -42,6 +42,7 @@ from helpers import (
     brute_independent,
     brute_rank,
     mk,
+    submasks,
 )
 
 CAT4 = enumerate_matroids(4).entries
@@ -116,6 +117,7 @@ def test_independence_kernel_against_oracles_past_the_catalogs():
             assert m.rank(a) == rank
             assert m.is_dependent(a) is not brute_independent(m.circuits, a)
             assert m.is_cyclic(a) is (a in cyclic)
+            assert m.cyclic_part(a) == SetFamily(c for c in cyclic if c & ~a == 0).union_mask
             for start in submasks(a):
                 if brute_independent(m.circuits, start):
                     picked = m.max_independent(a, start)
@@ -210,8 +212,13 @@ def _assert_cyclic_sets_by_nullity(m):
     levels = [set(m.cyclic_sets(nullity=k)) for k in range(len(m.ground) + 1)]
     for k, level in enumerate(levels):
         assert level == expected.get(k, set()), (m, k)
+    # the levels are kept once grown; a fresh copy asked from the top level
+    # down, then unfiltered, must give the same sets in any fill order
+    fresh = Matroid(m.ground, m.circuits)
+    for k in reversed(range(len(m.ground) + 1)):
+        assert set(fresh.cyclic_sets(nullity=k)) == levels[k], (m, k)
     if len(m.ground) <= CYCLIC_ENUM_CAP:
-        assert set().union(*levels) == set(m.cyclic_sets()), m
+        assert set().union(*levels) == set(m.cyclic_sets()) == set(fresh.cyclic_sets()), m
 
 
 def test_cyclic_nullity_filter_on_the_catalogs(catalogs):

@@ -50,6 +50,7 @@ from helpers import (
     lift,
     mk,
     replay_dump,
+    scan_cyclic_elimination,
 )
 
 
@@ -92,16 +93,31 @@ def test_loops_must_be_covered():
 def test_certify_agrees_with_flat_inclusion(catalogs):
     # M is a quotient of L iff every flat of M is a flat of L (Oxley, Matroid
     # Theory, 2nd ed., Prop. 7.3.6): on every pair with n <= 4, then on
-    # seeded pairs at n = 6..8, lifted minor pairs and independent draws
-    pairs = 0
+    # seeded pairs at n = 6..8, lifted minor pairs and independent draws.
+    # On the catalogs, a certificate's coverings list, in L's circuit order,
+    # every circuit of M inside each circuit of L, and they union to it; a
+    # refusal names L's first circuit they do not cover, and what they miss
+    pairs = certified = 0
     for n in range(1, 5):
         entries = catalogs[n].entries
         flats = [brute_flats(m) for m in entries]
         for i, m in enumerate(entries):
             for j, l in enumerate(entries):
-                assert certify_quotient(m, l).holds == (flats[i] <= flats[j])
+                outcome = certify_quotient(m, l)
+                assert outcome.holds == (flats[i] <= flats[j])
                 pairs += 1
-    assert pairs == 4909
+                inside = {d: SetFamily(c for c in m.circuits if c & ~d == 0) for d in l.circuits}
+                missed = [d for d, fam in inside.items() if fam.union_mask != d]
+                if outcome.holds:
+                    certified += 1
+                    assert not missed
+                    assert list(outcome.coverings.items()) == [
+                        (d, fam.members) for d, fam in inside.items()
+                    ]
+                else:
+                    d = missed[0]
+                    assert (outcome.circuit, outcome.uncovered) == (d, d & ~inside[d].union_mask)
+    assert (pairs, certified) == (4909, 640)
     rng = random.Random(20261019)
     held = Counter()
     for k in range(60):
@@ -507,6 +523,28 @@ def test_cyclic_elimination_avoids_the_shared_element(u13):
     rebuilt = cyclic_elimination(u13, 0b011, 0b101, 0)
     assert rebuilt == 0b110
     assert u13.nullity(rebuilt) == u13.nullity(0b011)
+
+
+def test_cyclic_elimination_matches_the_subset_scan(catalogs):
+    # every cyclic pair and shared element of the catalogs with n <= 4 and of
+    # seeded draws on 5-7 elements: the least cyclic set read off the level is
+    # the first one the ascending subset scan over brute-force sets finds
+    rng = random.Random(25)
+    draws = [random_matroid(rng, 5 + k % 3) for k in range(12)]
+    checked = 0
+    for m in [m for n in range(1, 5) for m in catalogs[n].entries] + draws:
+        by_nullity = brute_cyclic_sets_by_nullity(m)
+        cyclic = set().union(*by_nullity.values())
+        for a1 in cyclic:
+            for a2 in cyclic:
+                if a1 == a2 or a2 & ~a1 == 0:
+                    continue
+                for a in range(len(m.ground)):
+                    if (a1 & a2) >> a & 1:
+                        want = scan_cyclic_elimination(by_nullity, a1, a2, a)
+                        assert cyclic_elimination(m, a1, a2, a) == want, (m, a1, a2, a)
+                        checked += 1
+    assert checked == 58_491
 
 
 def test_cyclic_elimination_preconditions(u13):

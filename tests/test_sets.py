@@ -13,8 +13,9 @@ from matlift.sets import (
     default_ground,
     fresh_labels,
     masks_of_size,
-    submasks,
 )
+
+from helpers import submasks
 
 
 def test_ground_basics():

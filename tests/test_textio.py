@@ -194,11 +194,14 @@ def test_catalog_line_shape(u13, f3):
         "n=x;rank=1;circuits=-",
         "n=3;rank=1;circuits=09",
         "rank=1;n=3;circuits=-",
+        "n=0;rank=0;circuits=-",
+        "n=-1;rank=0;circuits=-",
     ],
 )
 def test_bad_catalog_lines(line):
-    with pytest.raises(ParseError):
-        parse_catalog_line(line)
+    with pytest.raises(ParseError) as info:
+        parse_catalog_line(line, 7)
+    assert info.value.line == 7
 
 
 def test_catalog_file_round_trip(tmp_path):
