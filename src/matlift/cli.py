@@ -232,7 +232,7 @@ def _cmd_sweep(args) -> int:
     config = SweepConfig() if args.random else None
     outcomes = sweeps.run_all(args.n, config=config)
     for o in outcomes:
-        print(o.line())
+        print(o.line() + (f"\n{o.dump}" if o.dump else ""))
     return 0 if all(o.ok for o in outcomes) else 1
 
 

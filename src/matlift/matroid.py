@@ -13,7 +13,6 @@ ground labels in the same order and the same circuit family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .axioms import AxiomReport, check_basis_exchange, check_circuit_axioms
@@ -42,29 +41,6 @@ CYCLIC_ENUM_CAP = 16
 # subset, and from_bases reads its circuits off the given bases, so it takes
 # no cap.
 SUBSET_TABLE_CAP = 20
-
-
-@dataclass
-class FundamentalFamily:
-    """Fundamental circuits of a set of root elements over one independent set.
-
-    ``circuits`` maps each root (an element index) to the unique circuit
-    inside the independent set plus that root.
-    """
-
-    roots: int
-    circuits: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        return self.roots.bit_count()
-
-    @property
-    def union_mask(self) -> int:
-        out = 0
-        for c in self.circuits.values():
-            out |= c
-        return out
 
 
 class Matroid:
@@ -250,13 +226,13 @@ class Matroid:
         assert circuit >> x & 1
         return circuit
 
-    def fundamental_family(self, independent: int, roots: int) -> FundamentalFamily:
-        """Fundamental circuits of every root element over ``independent``."""
+    def fundamental_family(self, independent: int, roots: int) -> dict[int, int]:
+        """The fundamental circuit over ``independent`` of every element of
+        ``roots``, keyed by the root's index."""
         self.ground.check_mask(independent | roots)
         if roots & independent:
             raise PreconditionFailure("roots must lie outside the independent set")
-        circuits = {x: self.fundamental_circuit(independent, x) for x in bit_indices(roots)}
-        return FundamentalFamily(roots, circuits)
+        return {x: self.fundamental_circuit(independent, x) for x in bit_indices(roots)}
 
     # ------------------------------------------------------------ cyclic sets
 
@@ -320,8 +296,6 @@ def uniform_matroid(ground: GroundSet, rank: int) -> Matroid:
     n = len(ground)
     if rank < 0 or rank > n:
         raise ValueError(f"rank {rank} out of range for {n} elements")
-    if rank == n:
-        return free_matroid(ground)
     return Matroid(ground, masks_of_size(n, rank + 1))
 
 

@@ -26,6 +26,8 @@ whose ``dump`` (``textio.dump_text``) replays its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Optional, Sequence, Union
 
 from .axioms import AxiomReport, check_circuit_axioms
@@ -40,7 +42,7 @@ from .errors import (
     QuotientViolation,
     RankMismatch,
 )
-from .matroid import FundamentalFamily, Matroid
+from .matroid import Matroid
 from .minors import contract, delete
 from .sets import GroundSet, SetFamily, bit_indices, masks_of_size, minimal_members
 from .textio import dump_text
@@ -403,7 +405,7 @@ def remark_comparison(witness: LiftWitness) -> list[RemarkRow]:
 # ---------------------------------------------------------- checked lemmas
 
 
-def lemma_span_witness(m: Matroid, a: int) -> FundamentalFamily:
+def lemma_span_witness(m: Matroid, a: int) -> dict[int, int]:
     """Fundamental-circuit witness for the span of a dependent set.
 
     Grows a maximal independent subset I of ``a`` and returns the fundamental
@@ -415,7 +417,7 @@ def lemma_span_witness(m: Matroid, a: int) -> FundamentalFamily:
         raise NotDependent(m.ground.format_mask(a))
     independent = m.max_independent(a)
     fam = m.fundamental_family(independent, a & ~independent)
-    if fam.union_mask != m.cyclic_part(a) or fam.size != m.nullity(a):
+    if reduce(or_, fam.values(), 0) != m.cyclic_part(a) or len(fam) != m.nullity(a):
         raise LemmaCounterexample(
             "span witness failed on " + m.ground.format_mask(a), dump_text(("M", m))
         )
@@ -491,7 +493,7 @@ def cyclic_elimination(m: Matroid, a1: int, a2: int, a: int) -> int:
 
 def base_family_witness(
     m: Matroid, a: int, d_circuit: int, d: int
-) -> tuple[int, FundamentalFamily]:
+) -> tuple[int, dict[int, int]]:
     """Basis avoiding a chosen element whose fundamental family spans ``a``.
 
     Preconditions: ``a`` cyclic, ``d_circuit`` a circuit inside ``a``, and
@@ -513,9 +515,9 @@ def base_family_witness(
     fam = m.fundamental_family(basis, roots)
     ok = (
         basis >> d & 1 == 0
-        and fam.circuits.get(d) == d_circuit
-        and fam.union_mask == a
-        and fam.size == m.nullity(a)
+        and fam.get(d) == d_circuit
+        and reduce(or_, fam.values(), 0) == a
+        and len(fam) == m.nullity(a)
         and basis.bit_count() == m.rank()
     )
     if not ok:

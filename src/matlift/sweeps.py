@@ -1,17 +1,21 @@
 """Sweep harness: exhaustive and randomized verification runs.
 
-Each sweep quantifies one guarantee over every instance in scope and returns
-a structured outcome instead of printing. The acceptance suite and the
-``sweep`` CLI command both run these, so there is exactly one definition of
-what each guarantee means.
+Each sweep quantifies one guarantee over every instance in scope. Its body
+returns details and stats, or raises a CheckFailure whose dump replays the
+counterexample; one runner, ``_sweep``, times the body and builds the
+outcome instead of printing. The acceptance suite and the ``sweep`` CLI
+command both run these, so there is exactly one definition of what each
+guarantee means.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from itertools import zip_longest
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import quotient
 from .enumeration import (
@@ -22,7 +26,7 @@ from .enumeration import (
     random_matroid,
     random_quotient_pair,
 )
-from .errors import ConstructionFailure, LemmaCounterexample, MatliftError, PreconditionFailure
+from .errors import CheckFailure, LemmaCounterexample, PreconditionFailure
 from .matroid import Matroid
 from .minors import contract, delete
 from .sets import bit_indices, default_ground, fresh_labels
@@ -50,14 +54,33 @@ class SweepOutcome:
     details: str
     elapsed: float
     stats: dict = field(default_factory=dict)
+    dump: str = ""  # a FAIL outcome's replayable inputs (see textio.dump_text)
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         return f"{status} {self.name}: {self.details} ({self.elapsed:.1f}s)"
 
 
-def _outcome(name: str, t0: float, ok: bool, details: str, **stats) -> SweepOutcome:
-    return SweepOutcome(name, ok, details, time.perf_counter() - t0, dict(stats))
+def _sweep(name: str) -> Callable[[Callable], Callable[..., SweepOutcome]]:
+    """The runner of the sweep ``name``: the decorated body returns
+    ``(details, stats)`` (its annotation names the sweep's timed outcome). A
+    CheckFailure out of the body is the FAIL outcome, its message's first
+    line the details; any other MatliftError propagates."""
+
+    def decorate(body: Callable) -> Callable[..., SweepOutcome]:
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> SweepOutcome:
+            t0 = time.perf_counter()
+            ok, dump = True, ""
+            try:
+                details, stats = body(*args, **kwargs)
+            except CheckFailure as exc:
+                ok, details, stats, dump = False, str(exc).split("\n", 1)[0], {}, exc.dump
+            return SweepOutcome(name, ok, details, time.perf_counter() - t0, stats, dump)
+
+        return run
+
+    return decorate
 
 
 CatalogMap = dict[int, MatroidCatalog]
@@ -83,75 +106,75 @@ def catalog_witnesses(catalogs: CatalogMap, max_n: int) -> Iterator[quotient.Lif
         yield from catalogs[n].witnesses.values()
 
 
+def _witness_dump(w: quotient.LiftWitness) -> str:
+    return dump_text(("M", w.m), ("L", w.l), ("N", w.n))
+
+
 # ------------------------------------------------------------------ sweep 1
 
 
+@_sweep("catalog-cross-oracle")
 def catalog_cross_oracle_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """The circuit route agrees with ``catalogs``; every entry is strongly
     sound and dual-involutive."""
     from .axioms import check_circuit_axioms
 
-    t0 = time.perf_counter()
-    problems = []
     counts = {}
     for n in range(1, max_n + 1):
         cat = catalogs[n]
-        circuit_cat = enumerate_matroids(cat.ground, "circuit")
-        if [m.circuits for m in cat.entries] != [m.circuits for m in circuit_cat.entries]:
-            problems.append(f"n={n}: routes disagree")
-        counts[n] = len(cat)
-        for m in cat.entries:
+        circuit_route = enumerate_matroids(cat.ground, "circuit").entries
+        for m, other in zip_longest(cat.entries, circuit_route):
+            if m != other:  # the first entries that differ; a shorter route has none
+                named = (("extension", m), ("circuit", other))
+                raise LemmaCounterexample(
+                    f"n={n}: routes disagree", dump_text(*(d for d in named if d[1]))
+                )
             if not check_circuit_axioms(m.ground, m.circuits, strong=True).passed:
-                problems.append(f"n={n}: strong axioms fail on {m!r}")
-                break
+                raise LemmaCounterexample(
+                    f"n={n}: strong axioms fail on {m!r}", dump_text(("M", m))
+                )
             if m.dual().dual() != m:
-                problems.append(f"n={n}: dual involution fails on {m!r}")
-                break
-    ok = not problems
-    details = (
-        f"route agreement and soundness for {sum(counts.values())} matroids, counts {counts}"
-        if ok
-        else "; ".join(problems)
-    )
-    return _outcome("catalog-cross-oracle", t0, ok, details, counts=counts)
+                raise LemmaCounterexample(
+                    f"n={n}: dual involution fails on {m!r}", dump_text(("M", m))
+                )
+        counts[n] = len(cat)
+    details = f"route agreement and soundness for {sum(counts.values())} matroids, counts {counts}"
+    return details, dict(counts=counts)
 
 
 # ------------------------------------------------------------------ sweep 2
 
 
+@_sweep("lift-property")
 def lift_property_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Every (contraction, deletion) pair of minors of every matroid certifies."""
-    t0 = time.perf_counter()
     checked = 0
     for n in range(2, max_n + 1):
         cat = catalogs[n]
         full = cat.ground.full_mask
         for big in cat.entries:
             for x in range(1, full):
-                cert = quotient.certify_quotient(contract(big, x), delete(big, x))
+                m, l = contract(big, x), delete(big, x)
+                cert = quotient.certify_quotient(m, l)
                 if not cert.holds:
-                    return _outcome(
-                        "lift-property",
-                        t0,
-                        False,
+                    raise LemmaCounterexample(
                         f"minor pair of {big!r} at x={x:#x} refused: {cert.describe()}",
+                        dump_text(("M", m), ("L", l), ("N", big)),
                     )
                 checked += 1
-    return _outcome(
-        "lift-property", t0, True, f"{checked} minor pairs all certify", checked=checked
-    )
+    return f"{checked} minor pairs all certify", dict(checked=checked)
 
 
 # ------------------------------------------------------------------ sweep 3
 
 
+@_sweep("lift-criterion")
 def lift_criterion_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Every certified pair with positive rank step admits a verified witness.
 
     Also tallies the observed bound on circuit nullities: whether every
     circuit of the upper matroid has nullity at most step+1 downstairs.
     """
-    t0 = time.perf_counter()
     pairs = sum(len(catalogs[n]) ** 2 for n in range(1, max_n + 1))
     certified = nullity_within = nullity_beyond = 0
     for m, l, s in certified_pairs(catalogs, max_n):
@@ -161,28 +184,26 @@ def lift_criterion_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
                 nullity_within += 1
             else:
                 nullity_beyond += 1
-    try:
-        witnesses = sum(len(catalogs[n].witnesses) for n in range(1, max_n + 1))
-    except ConstructionFailure as exc:
-        return _outcome("lift-criterion", t0, False, f"construction failed: {exc}")
+    # a failed construction raises ConstructionFailure with its dump
+    witnesses = sum(len(catalogs[n].witnesses) for n in range(1, max_n + 1))
     details = (
         f"{pairs} pairs, {certified} certified, {witnesses} witnesses verified; "
         f"circuit nullity <= step+1 observed {nullity_within}/{nullity_within + nullity_beyond}"
     )
-    return _outcome(
-        "lift-criterion", t0, True, details, pairs=pairs, certified=certified,
-        witnesses=witnesses, nullity_within=nullity_within, nullity_beyond=nullity_beyond,
+    return details, dict(
+        pairs=pairs, certified=certified, witnesses=witnesses,
+        nullity_within=nullity_within, nullity_beyond=nullity_beyond,
     )
 
 
 # ------------------------------------------------------------------ sweep 4
 
 
+@_sweep("witness-oracle")
 def witness_oracle_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """The one-element lifts realize exactly the certified pairs with step
     <= 1, so at step one certification is equivalent to having a lift, and
     the shared witness is always among the lifts of its pair."""
-    t0 = time.perf_counter()
     agree = 0
     for n in range(1, max_n + 1):
         cat = catalogs[n]
@@ -191,19 +212,21 @@ def witness_oracle_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
         mismatched = sorted(set(buckets) ^ realizable)
         if mismatched:
             i, j = mismatched[0]
-            return _outcome("witness-oracle", t0, False, (
-                f"disagreement on {cat.entries[i]!r}, {cat.entries[j]!r}: certified with step"
-                f" <= 1={(i, j) in realizable}, lifts found={len(buckets.get((i, j), []))}"))
+            m, l = cat.entries[i], cat.entries[j]
+            raise LemmaCounterexample(
+                f"disagreement on {m!r}, {l!r}: certified with step <= 1="
+                f"{(i, j) in realizable}, lifts found={len(buckets.get((i, j), []))}",
+                dump_text(("M", m), ("L", l)),
+            )
         for p, w in cat.witnesses.items():
             if len(w.x_labels) == 1 and w.n not in buckets[p]:
-                return _outcome("witness-oracle", t0, False,
-                                f"constructed witness not found by scan for {w.m!r}, {w.l!r}")
+                raise LemmaCounterexample(
+                    f"constructed witness not found by scan for {w.m!r}, {w.l!r}",
+                    _witness_dump(w),
+                )
         ranks = [m.rank() for m in cat.entries]
         agree += sum(1 for a in ranks for b in ranks if b == a + 1)
-    return _outcome(
-        "witness-oracle", t0, True, f"{agree} rank-step-one pairs agree with the scan",
-        agree=agree,
-    )
+    return f"{agree} rank-step-one pairs agree with the scan", dict(agree=agree)
 
 
 # ------------------------------------------------------- lemma sweep helpers
@@ -263,10 +286,10 @@ def matroid_lemma_checks(
     return counts
 
 
-def _pair_rank_order_check(m: Matroid, l: Matroid) -> None:
-    """Certified pairs weakly order independence families.
-
-    The rank half of the ordering needs no check here: certify_quotient
+def _pair_statements(m: Matroid, l: Matroid, s: int, counts: dict[str, int]) -> None:
+    """Rank order and bigcyclo on a certified pair with rank step ``s``,
+    each counted in ``counts``. Rank order checks that independence families
+    are weakly ordered; its rank half needs no check, as certify_quotient
     already raises on a certified pair with a negative or empty rank step.
     """
     for mask in range(1 << len(m.ground)):
@@ -275,46 +298,43 @@ def _pair_rank_order_check(m: Matroid, l: Matroid) -> None:
                 f"independent set {m.ground.format_mask(mask)} lost upstairs",
                 dump_text(("M", m), ("L", l)),
             )
+    counts["rank-order"] += 1
+    quotient.bigcyclo_check(m, l, s)
+    counts["bigcyclo"] += 1
 
 
 # ------------------------------------------------------------------ sweep 5a
 
 
+@_sweep("lemma-exhaustive")
 def lemma_exhaustive_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """All checked statements over all matroids, pairs, and triples in scope."""
-    t0 = time.perf_counter()
     totals = dict.fromkeys(_ALL_STATEMENTS, 0)
-    try:
-        for n in range(1, max_n + 1):
-            cat = catalogs[n]
-            for m in cat.entries:
-                for key, val in matroid_lemma_checks(m).items():
-                    totals[key] += val
-            certified = cat.certified
-            down: dict[int, list[int]] = {}
-            for (i, j), s in certified.items():
-                m, l = cat.entries[i], cat.entries[j]
-                _pair_rank_order_check(m, l)
-                totals["rank-order"] += 1
-                quotient.bigcyclo_check(m, l, s)
-                totals["bigcyclo"] += 1
-                down.setdefault(i, []).append(j)
-            for i, j in certified:
-                for k in down.get(j, ()):
-                    if (i, k) not in certified:
-                        raise LemmaCounterexample(
-                            f"transitivity fails at catalog n={n} indices {i},{j},{k}"
-                        )
-                    totals["transitivity"] += 1
-    except LemmaCounterexample as exc:
-        return _outcome("lemma-exhaustive", t0, False, str(exc).splitlines()[0])
-    details = "all statements hold: " + ", ".join(f"{k}={v}" for k, v in totals.items())
-    return _outcome("lemma-exhaustive", t0, True, details, **totals)
+    for n in range(1, max_n + 1):
+        cat = catalogs[n]
+        for m in cat.entries:
+            for key, val in matroid_lemma_checks(m).items():
+                totals[key] += val
+        certified = cat.certified
+        down: dict[int, list[int]] = {}
+        for (i, j), s in certified.items():
+            _pair_statements(cat.entries[i], cat.entries[j], s, totals)
+            down.setdefault(i, []).append(j)
+        for i, j in certified:
+            for k in down.get(j, ()):
+                if (i, k) not in certified:
+                    raise LemmaCounterexample(
+                        f"transitivity fails at catalog n={n} indices {i},{j},{k}",
+                        dump_text(*zip(("M", "mid", "L"), (cat.entries[t] for t in (i, j, k)))),
+                    )
+                totals["transitivity"] += 1
+    return "all statements hold: " + ", ".join(f"{k}={v}" for k, v in totals.items()), totals
 
 
 # ------------------------------------------------------------------ sweep 5b
 
 
+@_sweep("lemma-randomized")
 def lemma_randomized_sweep(config: Optional[SweepConfig] = None) -> SweepOutcome:
     """Checked statements on randomized instances with 5 and 6 elements.
 
@@ -325,55 +345,48 @@ def lemma_randomized_sweep(config: Optional[SweepConfig] = None) -> SweepOutcome
     """
     cfg = config or SweepConfig()
     rng = random.Random(cfg.seed)
-    t0 = time.perf_counter()
     instances = dict.fromkeys(_ALL_STATEMENTS, 0)
-    try:
-        for _ in range(RANDOM_MATROIDS):
-            n = rng.choice((5, 6))
-            m = random_matroid(rng, n)
-            sample = (rng, SAMPLES_PER_MATROID)
-            for key, val in matroid_lemma_checks(m, sample).items():
-                instances[key] += val
+    for _ in range(RANDOM_MATROIDS):
+        n = rng.choice((5, 6))
+        m = random_matroid(rng, n)
+        sample = (rng, SAMPLES_PER_MATROID)
+        for key, val in matroid_lemma_checks(m, sample).items():
+            instances[key] += val
 
-        for _ in range(RANDOM_PAIRS):
-            n = rng.choice((5, 6))
-            steps = rng.choice((1, 2))
-            m, l = random_quotient_pair(rng, n, steps)
-            cert = quotient.certify_quotient(m, l)
-            if not cert.holds:
-                raise LemmaCounterexample(
-                    "random minor pair refused certification", dump_text(("M", m), ("L", l))
-                )
-            _pair_rank_order_check(m, l)
-            instances["rank-order"] += 1
-            quotient.bigcyclo_check(m, l, cert.step_s)
-            instances["bigcyclo"] += 1
+    for _ in range(RANDOM_PAIRS):
+        n = rng.choice((5, 6))
+        steps = rng.choice((1, 2))
+        m, l = random_quotient_pair(rng, n, steps)
+        cert = quotient.certify_quotient(m, l)
+        if not cert.holds:
+            raise LemmaCounterexample(
+                "random minor pair refused certification", dump_text(("M", m), ("L", l))
+            )
+        _pair_statements(m, l, cert.step_s, instances)
 
-        for _ in range(RANDOM_TRIPLES):
-            n = rng.choice((5, 6))
-            g = default_ground(n)
-            z1, z2 = fresh_labels(g, 2, stem="z")
-            big = g.extend((z1, z2))
-            lifted = random_matroid(rng, big)
-            m2 = contract(lifted, big.mask_of((z1, z2)))
-            stage = contract(lifted, big.mask_of((z2,)))
-            mid = delete(stage, stage.ground.mask_of((z1,)))
-            k2 = delete(lifted, big.mask_of((z1, z2)))
-            lo = quotient.certify_quotient(m2, mid)
-            hi = quotient.certify_quotient(mid, k2)
-            outer = quotient.certify_quotient(m2, k2)
-            if not (lo.holds and hi.holds and outer.holds):
-                raise LemmaCounterexample(
-                    "transitivity failed on random chained minors", dump_text(("N", lifted))
-                )
-            instances["transitivity"] += 1
-    except MatliftError as exc:
-        return _outcome("lemma-randomized", t0, False, str(exc).splitlines()[0])
+    for _ in range(RANDOM_TRIPLES):
+        n = rng.choice((5, 6))
+        g = default_ground(n)
+        z1, z2 = fresh_labels(g, 2, stem="z")
+        big = g.extend((z1, z2))
+        lifted = random_matroid(rng, big)
+        m2 = contract(lifted, big.mask_of((z1, z2)))
+        stage = contract(lifted, big.mask_of((z2,)))
+        mid = delete(stage, stage.ground.mask_of((z1,)))
+        k2 = delete(lifted, big.mask_of((z1, z2)))
+        lo = quotient.certify_quotient(m2, mid)
+        hi = quotient.certify_quotient(mid, k2)
+        outer = quotient.certify_quotient(m2, k2)
+        if not (lo.holds and hi.holds and outer.holds):
+            raise LemmaCounterexample(
+                "transitivity failed on random chained minors", dump_text(("N", lifted))
+            )
+        instances["transitivity"] += 1
     total = sum(instances.values())
     details = f"{total} randomized instances hold: " + ", ".join(
         f"{k}={v}" for k, v in instances.items()
     )
-    return _outcome("lemma-randomized", t0, True, details, total=total, **instances)
+    return details, dict(total=total, **instances)
 
 
 # ------------------------------------------------------------------ sweep 6
@@ -389,6 +402,7 @@ def lattice_stages(w: quotient.LiftWitness) -> list[Matroid]:
     return [w.stage(d) for d in range(1 << len(w.x_labels))]
 
 
+@_sweep("homotopy")
 def homotopy_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Factorization validity for every certified pair with step >= 2 under
     every ordering of the new elements; each stage is order-free.
@@ -400,7 +414,6 @@ def homotopy_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     ordering gives that chain. Its ends are the operands, which the
     remark comparison's shifted tally checks against families 1 and s + 1.
     """
-    t0 = time.perf_counter()
     pairs = 0
     for w in catalog_witnesses(catalogs, max_n):
         if len(w.x_labels) < 2:
@@ -408,36 +421,34 @@ def homotopy_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
         pairs += 1
         try:
             chain = quotient.factor_homotopy(w.m, w.l, w.x_labels, witness=w)
-        except MatliftError as exc:
-            return _outcome(
-                "homotopy", t0, False,
+        except CheckFailure as exc:
+            raise LemmaCounterexample(
                 f"factorization failed for {w.m!r}, {w.l!r}: {str(exc).splitlines()[0]}",
-            )
+                _witness_dump(w),
+            ) from exc
         for d, st in enumerate(lattice_stages(w)):
             if st != chain.steps[d.bit_count()]:
-                return _outcome(
-                    "homotopy", t0, False,
+                raise LemmaCounterexample(
                     f"stage {d:#b} of {w.m!r}, {w.l!r} differs from chain stage {d.bit_count()}",
+                    _witness_dump(w),
                 )
     details = (
         f"{pairs} pairs with step >= 2 factor under every ordering; "
         f"stages order-independent for {pairs}, order-dependent for 0"
     )
-    return _outcome(
-        "homotopy", t0, True, details, pairs=pairs, order_free=pairs, order_bound=0,
-    )
+    return details, dict(pairs=pairs, order_free=pairs, order_bound=0)
 
 
 # ------------------------------------------------------------------ sweep 8
 
 
+@_sweep("remark-comparison")
 def remark_comparison_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Stage-family comparison tally over every certified pair with step >= 1.
 
     Nothing is asserted about either index reading; the outcome carries the
     agree/disagree tally and a printable report.
     """
-    t0 = time.perf_counter()
     pairs = rows = shifted_agree = literal_agree = 0
     per_stage: dict[int, list[int]] = {}
     for w in catalog_witnesses(catalogs, max_n):
@@ -460,33 +471,29 @@ def remark_comparison_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     for i in sorted(per_stage):
         total, sh, li = per_stage[i]
         lines.append(f"  stage {i}: {total} instances, shifted agree {sh}, literal agree {li}")
-    report = "\n".join(lines)
     details = f"{pairs} pairs; shifted {shifted_agree}/{rows}, literal {literal_agree}/{rows}"
-    return _outcome(
-        "remark-comparison", t0, True, details,
+    return details, dict(
         pairs=pairs, shifted=(shifted_agree, rows), literal=(literal_agree, rows),
-        report=report,
+        report="\n".join(lines),
     )
 
 
 # ------------------------------------------------------------------ sweep 9
 
 
+@_sweep("text-roundtrip")
 def roundtrip_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
     """Serialize/parse identity for every catalog entry."""
-    t0 = time.perf_counter()
     checked = 0
     for n in range(1, max_n + 1):
         for m in catalogs[n].entries:
             back = parse_matroid_text(serialize_matroid_text(m))
             if back != m:
-                return _outcome(
-                    "text-roundtrip", t0, False, f"round trip changed {m!r} into {back!r}"
+                raise LemmaCounterexample(
+                    f"round trip changed {m!r} into {back!r}", dump_text(("M", m), ("back", back))
                 )
             checked += 1
-    return _outcome(
-        "text-roundtrip", t0, True, f"{checked} catalog entries round-trip", checked=checked
-    )
+    return f"{checked} catalog entries round-trip", dict(checked=checked)
 
 
 # --------------------------------------------------------------- full runner

@@ -108,6 +108,9 @@ def test_lift_failure_modes(files, capsys):
     assert run_command(["lift", files["u23"], files["u13"], "--labels", "x"]) == 1
     assert "FAIL" in capsys.readouterr().out
     assert run_command(["lift", files["u13"], files["u23"], "--labels", "x,y"]) == 2
+    capsys.readouterr()
+    assert run_command(["lift", files["u13"], files["u23"], "--labels", ","]) == 2
+    assert capsys.readouterr().err == "error: no labels given\n"
 
 
 def test_factor_stages(files, tmp_path, capsys):

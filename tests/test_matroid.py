@@ -181,11 +181,7 @@ def test_fundamental_circuit_is_unique_and_contains_x(u13):
 
 
 def test_fundamental_family_partitions_roots(u23):
-    fam = u23.fundamental_family(0b011, 0b100)
-    assert fam.roots == 0b100
-    assert fam.circuits[2] == 0b111
-    assert fam.size == 1
-    assert fam.union_mask == 0b111
+    assert u23.fundamental_family(0b011, 0b100) == {2: 0b111}
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +312,7 @@ def test_uniform_and_free_constructors():
     assert all(c.bit_count() == 3 for c in u.circuits)
     assert free_matroid(g).circuits.members == ()
     assert uniform_matroid(g, 0).circuits.members == (1, 2, 4, 8)
+    assert uniform_matroid(g, 4) == free_matroid(g)
 
 
 def test_spanning_iff_complement_coindependent():

@@ -490,17 +490,15 @@ def test_remark_comparison_reads_the_witness_route(u13, f3, monkeypatch):
 
 
 def test_span_witness_on_a_circuit(u13):
-    fam = lemma_span_witness(u13, 0b011)
-    assert fam.union_mask == 0b011
-    assert fam.size == 1
+    assert lemma_span_witness(u13, 0b011) == {1: 0b011}
     with pytest.raises(NotDependent):
         lemma_span_witness(u13, 0b001)
 
 
 def test_span_witness_counts_nullity(u13):
     fam = lemma_span_witness(u13, 0b111)
-    assert fam.size == u13.nullity(0b111) == 2
-    assert fam.union_mask == 0b111
+    assert len(fam) == u13.nullity(0b111) == 2
+    assert fam == {1: 0b011, 2: 0b101}
 
 
 def test_cyclic_extension_grows_nullity(u13):
@@ -557,9 +555,8 @@ def test_cyclic_elimination_preconditions(u13):
 def test_base_family_witness_structure(u13):
     basis, fam = base_family_witness(u13, 0b111, 0b011, 0)
     assert basis == 0b010
-    assert fam.circuits[0] == 0b011
-    assert fam.union_mask == 0b111
-    assert fam.size == u13.nullity(0b111)
+    assert fam == {0: 0b011, 2: 0b110}
+    assert len(fam) == u13.nullity(0b111)
 
 
 def test_base_family_witness_preconditions(u13):
@@ -588,7 +585,7 @@ def test_lemma_counterexamples_dump_their_operands(u13, f3):
     )
     assert replay_dump(info.value.dump) == ({"M": u13, "L": f3}, [])
     with pytest.raises(LemmaCounterexample) as info:
-        sweeps._pair_rank_order_check(f3, u13)
+        sweeps._pair_statements(f3, u13, 0, Counter())
     assert str(info.value).splitlines()[0] == "independent set {a,b} lost upstairs"
     assert replay_dump(info.value.dump) == ({"M": f3, "L": u13}, [])
 

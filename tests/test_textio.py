@@ -3,6 +3,7 @@
 import random
 import re
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -85,6 +86,35 @@ def test_parse_errors_carry_line_numbers(text, lineno, fragment):
         parse_document(text)
     assert exc.value.line == lineno
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "parse, text, lineno, message",
+    [
+        (parse_document, "matroid x y\nground a\nend\n", 1,
+         "matroid header takes at most one name"),
+        (parse_document, "matroid x\nground\nend\n", 2, "'ground' needs at least one label"),
+        (parse_document, "matroid x\nground a\ncircuit\nend\n", 3,
+         "'circuit' needs at least one label"),
+        (parse_document, "matroid x\nend\n", 2, "'end' before 'ground'"),
+        (parse_document, "matroid x\nground a\nend now\n", 3, "'end' takes no arguments"),
+        (parse_document, "", 1, "missing 'matroid' header"),
+        (parse_document, "# only a comment\n\n", 1, "missing 'matroid' header"),
+        (parse_document, "matroid x\n# no ground\n", 1, "missing 'ground' line"),
+        (partial(parse_catalog_line, lineno=7), "n=3;rank=1;circuits=01||12", 7,
+         "empty circuit chunk"),
+        (partial(parse_catalog_line, lineno=7), "n=3;rank=1;circuits=0g", 7,
+         "bad hex digit 'g'"),
+        (partial(parse_pair_line, lineno=9), "3;7;quotient=1", 9,
+         "expected five ';'-separated fields"),
+        (partial(parse_pair_line, lineno=9), "3;x;quotient=1;s=1;witness=ok", 9,
+         "non-integer field"),
+    ],
+)
+def test_parse_error_messages_and_lines(parse, text, lineno, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, str(exc.value)) == (lineno, f"line {lineno}: {message}")
 
 
 @pytest.mark.parametrize(
