@@ -4,7 +4,9 @@ Two deliberately different generation routes exist so they can cross-check
 each other:
 
 * ``extension`` route (the default): grow each catalog from the one below
-  it, by the single-element extensions of every entry. Practical through n = 6.
+  it, by the single-element extensions of every entry, one per modular cut.
+  Practical through n = 7: its 75,164 matroids take about 5 s and a peak
+  RSS of about 155 MB with Python 3.11 on a 2-core x86-64 container.
 * ``circuit`` route: grow the antichains of non-empty subsets depth-first
   and screen each through the circuit-axiom checker. Only antichains can
   pass the clutter axiom, and there are far fewer of them than families
@@ -27,13 +29,15 @@ from typing import Iterator, Optional, Union
 
 from . import quotient as _quotient
 from .axioms import check_circuit_axioms
-from .errors import GroundTooLarge
+from .errors import ConstructionFailure, GroundTooLarge
 from .matroid import Matroid, require_subset_table
 from .minors import contract, delete
 from .sets import GroundSet, SetFamily, bit_indices, default_ground, fresh_labels
-from .textio import catalog_line, pair_line
+from .textio import catalog_line, dump_text, pair_line
 
-EXTENSION_ENUM_CAP = 6  # the free matroid on 6 elements has 7,828,354 up-sets of flats
+# the search visits modular cuts, not up-sets of flats, so the cap follows
+# the catalog: n = 7 holds 75,164 matroids, and n = 8 would hold 10,607,540
+EXTENSION_ENUM_CAP = 7
 CIRCUIT_ENUM_CAP = 5
 PAIR_CATALOG_CAP = 5
 
@@ -122,32 +126,70 @@ def _extensions(l: Matroid, big: GroundSet) -> list[Matroid]:
     """Every matroid on ``big``, the ground of ``l`` plus a last element x,
     whose deletion by x is ``l``: one per modular cut of ``l``.
 
-    Each up-set U of the flats (closures of independent sets), grown largest
-    flat first, adds A + x to ``l``'s circuits for every independent A
-    minimal with cl(A) in U. The family passes the circuit axioms iff U is a
-    modular cut, and is then its extension (Oxley, Matroid Theory, 7.2).
+    A modular cut U is an up-set of flats (closures of independent sets) that
+    holds g & h for every modular pair g, h in U, one with r(g) + r(h) =
+    r(g | h) + r(g & h). Its extension adds A + x to ``l``'s circuits for every
+    independent A minimal with cl(A) in U (Oxley, Matroid Theory, 7.2).
+
+    The search decides the flats largest first, each "out" before "in". The
+    meet of every modular pair in the cut, and every flat holding that meet,
+    is forced. A flat may stay out only if it is not forced. It may join only
+    if every larger flat that holds it is in, and no flat its joining forces
+    is already out. The flats of a pair meeting in f, and every flat holding
+    f, are larger than f and so decided before it: every leaf is a modular
+    cut, every modular cut is a leaf, and the leaves come in the order of a
+    scan over all up-sets. Each family still goes through the circuit check;
+    one that fails would contradict Crapo's theorem and raises
+    ConstructionFailure.
     """
     x = 1 << len(l.ground)
     # e joins the closure of an independent A when a circuit leaves A only at e
     closure = {a: a | sum({c & ~a for c in l.circuits if (c & ~a).bit_count() == 1})
                for a in range(x) if l.is_independent(a)}
     flats = sorted(set(closure.values()), key=int.bit_count, reverse=True)
-    candidates = [(f, [closure[a & ~(1 << b)] for b in bit_indices(a)], a | x)
-               for a, f in closure.items()]
-
-    def grow(up: set[int], k: int) -> Iterator[Matroid]:
+    index = {f: k for k, f in enumerate(flats)}
+    basis = {f: a for a, f in closure.items()}
+    # up[k]: flat k and the larger flats that hold it; pairs[k]: for each
+    # larger flat h modular with flat k, h's bit and up of their meet
+    up = [sum(1 << j for j, h in enumerate(flats[:k + 1]) if f & ~h == 0)
+          for k, f in enumerate(flats)]
+    pairs: list[list[tuple[int, int]]] = [[] for _ in flats]
+    for k, g in enumerate(flats):
+        for j, h in enumerate(flats[:k]):
+            if g & ~h and (basis[g].bit_count() + basis[h].bit_count()
+                           == l.max_independent(g | h, basis[g]).bit_count()
+                           + basis[g & h].bit_count()):
+                pairs[k].append((1 << j, up[index[g & h]]))
+    cuts, todo = [], [(0, 0, 0)]  # cut, forced, next flat
+    while todo:
+        cut, forced, k = todo.pop()
         if k == len(flats):
-            new = [c for f, below, c in candidates if f in up and not any(b in up for b in below)]
-            report = check_circuit_axioms(big, SetFamily((*l.circuits, *new)))
-            if report.passed:
-                yield Matroid._from_report(report)
-            return
-        yield from grow(up, k + 1)
-        f = flats[k]
-        if all(h in up for h in flats[:k] if f & ~h == 0):  # every larger flat is in
-            yield from grow(up | {f}, k + 1)
-
-    return list(grow(set(), 0))
+            cuts.append(cut)
+            continue
+        b, above = 1 << k, up[k] & ~(1 << k)
+        if cut & above == above:
+            joined = forced
+            for h_bit, meet_up in pairs[k]:
+                if cut & h_bit:
+                    joined |= meet_up
+            if not joined & ~cut & (b - 1):
+                todo.append((cut | b, joined, k + 1))
+        if not forced & b:  # pushed last, so taken first
+            todo.append((cut, forced, k + 1))
+    candidates = [(1 << index[f], sum({1 << index[closure[a & ~(1 << e)]] for e in bit_indices(a)}),
+                   a | x) for a, f in closure.items()]
+    out = []
+    for cut in cuts:
+        new = [c for f, below, c in candidates if cut & f and not cut & below]
+        family = SetFamily((*l.circuits, *new))
+        report = check_circuit_axioms(big, family)
+        if not report.passed:
+            raise ConstructionFailure(
+                "modular cut family fails circuit axioms: " + report.describe(),
+                dump_text(("L", l), extra=("labels " + big.labels[-1], big.format_family(family))),
+            )
+        out.append(Matroid._from_report(report))
+    return out
 
 
 def _enumerate_by_circuits(g: GroundSet) -> list[Matroid]:

@@ -56,15 +56,15 @@ _LINE_RE = re.compile(r"\s*\S+(?:\s+[A-Za-z0-9_]+)*\s*")
 
 
 def _tokens(code: str, lineno: int) -> list[str]:
-    """The words of ``code``, a raw line without its comment; a bad argument
-    word raises ParseError with its 1-based column in that line."""
-    if _LINE_RE.fullmatch(code):
-        return code.split()
-    words = list(re.finditer(r"\S+", code))
-    for w in words[1:]:
-        if not LABEL_RE.fullmatch(w.group()):
-            raise ParseError(f"bad token {w.group()!r}", lineno, w.start() + 1)
-    return [w.group() for w in words]
+    """The words of ``code``, a non-blank raw line without its comment; the
+    first bad argument word raises ParseError with its 1-based column."""
+    if not _LINE_RE.fullmatch(code):
+        # the regex refuses a non-blank line only at an argument word that is
+        # not a label
+        bad = next(w for w in list(re.finditer(r"\S+", code))[1:]
+                   if not LABEL_RE.fullmatch(w.group()))
+        raise ParseError(f"bad token {bad.group()!r}", lineno, bad.start() + 1)
+    return code.split()
 
 
 def parse_document(text: str) -> MatroidDocument:

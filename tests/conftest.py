@@ -53,6 +53,12 @@ def catalog_6():
 
 
 @pytest.fixture(scope="session")
+def catalog_7():
+    """All 75,164 labelled matroids on 7 elements, extension route."""
+    return enumerate_matroids(7)
+
+
+@pytest.fixture(scope="session")
 def circuit_catalogs():
     """All labelled matroids on 1..5 elements, circuit route."""
     return {n: enumerate_matroids(n, "circuit") for n in range(1, 6)}

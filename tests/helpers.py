@@ -9,9 +9,10 @@ implementation under test. ``replay_dump`` reads a failure dump back, and
 from itertools import combinations
 from typing import Iterator, Optional
 
+from matlift.axioms import check_circuit_axioms
 from matlift.matroid import Matroid
 from matlift.quotient import LiftWitness, lift_witness
-from matlift.sets import GroundSet, SetFamily, default_ground, fresh_labels
+from matlift.sets import GroundSet, SetFamily, bit_indices, default_ground, fresh_labels
 from matlift.textio import catalog_line, parse_matroid_text
 
 
@@ -155,6 +156,38 @@ def enumerate_by_bases(n: int) -> list[Matroid]:
                 circuits = brute_minimal_dependent(n, lambda a: all(a & ~b for b in bases))
                 out.append(Matroid(default_ground(n), circuits))
     return sorted(out, key=catalog_line)
+
+
+def upset_extensions(l: Matroid, big: GroundSet) -> list[Matroid]:
+    """The extensions of ``l`` to ``big`` (one more element x), in
+    ``enumeration._extensions`` order, by screening every up-set of flats.
+
+    Each up-set U, grown largest flat first with "out" before "in", adds
+    A + x to ``l``'s circuits for every independent A minimal with cl(A) in
+    U; the families that pass the circuit axioms are kept. The up-sets of
+    the free matroid's flats are the antichains of subsets, 7,581 on 5
+    elements and 7,828,354 on 6, so the scan stops at the n = 5 catalog.
+    """
+    x = 1 << len(l.ground)
+    closure = {a: a | sum({c & ~a for c in l.circuits if (c & ~a).bit_count() == 1})
+               for a in range(x) if l.is_independent(a)}
+    flats = sorted(set(closure.values()), key=int.bit_count, reverse=True)
+    candidates = [(f, [closure[a & ~(1 << b)] for b in bit_indices(a)], a | x)
+                  for a, f in closure.items()]
+
+    def grow(up: set[int], k: int) -> Iterator[Matroid]:
+        if k == len(flats):
+            new = [c for f, below, c in candidates if f in up and not any(b in up for b in below)]
+            report = check_circuit_axioms(big, SetFamily((*l.circuits, *new)))
+            if report.passed:
+                yield Matroid._from_report(report)
+            return
+        yield from grow(up, k + 1)
+        f = flats[k]
+        if all(h in up for h in flats[:k] if f & ~h == 0):
+            yield from grow(up | {f}, k + 1)
+
+    return list(grow(set(), 0))
 
 
 def brute_dual(m: Matroid) -> SetFamily:

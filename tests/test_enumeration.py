@@ -13,7 +13,7 @@ from itertools import permutations
 import pytest
 
 from matlift import enumeration
-from matlift.axioms import check_circuit_axioms
+from matlift.axioms import AxiomReport, Violation, check_circuit_axioms
 from matlift.enumeration import (
     CIRCUIT_ENUM_CAP,
     EXTENSION_ENUM_CAP,
@@ -23,14 +23,21 @@ from matlift.enumeration import (
     random_matroid,
     random_quotient_pair,
 )
-from matlift.errors import GroundTooLarge
+from matlift.errors import ConstructionFailure, GroundTooLarge
 from matlift.matroid import Matroid, free_matroid
 from matlift.minors import contract, delete
 from matlift.quotient import certify_quotient, lift_witness
 from matlift.sets import SetFamily, fresh_labels
 from matlift.textio import parse_pair_line
 
-from helpers import brute_minimal_dependent, enumerate_by_bases, gf_rank
+from helpers import (
+    brute_minimal_dependent,
+    enumerate_by_bases,
+    gf_rank,
+    mk,
+    replay_dump,
+    upset_extensions,
+)
 
 KNOWN_COUNTS = {1: 2, 2: 5, 3: 16, 4: 68, 5: 406}
 
@@ -70,7 +77,40 @@ def test_routes_agree(catalogs, circuit_catalogs):
         assert [m.circuits for m in enumerate_by_bases(n)] == want
 
 
-@pytest.mark.slow
+@pytest.mark.parametrize("n, want", [
+    (1, 5), (2, 16), (3, 68), (4, 406), pytest.param(5, 3807, marks=pytest.mark.slow),
+])
+def test_modular_cut_search_matches_the_upset_scan(catalogs, n, want):
+    # order included: the catalogs and lift_buckets file extensions in this order
+    cat = catalogs[n]
+    big = cat.ground.extend(fresh_labels(cat.ground, 1))
+    got = 0
+    for l in cat.entries:
+        fast = enumeration._extensions(l, big)
+        assert fast == upset_extensions(l, big)
+        got += len(fast)
+    assert got == want
+
+
+def test_failed_extension_family_raises_with_a_replayable_dump(u13, monkeypatch):
+    # U(1,3) extends U(1,2) on {a,b} by c parallel to both; pretend its
+    # family fails the circuit check
+    def failing(ground, family, strong=False):
+        if family == u13.circuits:
+            return AxiomReport(ground, family, (Violation("AC0", (0,)),))
+        return check_circuit_axioms(ground, family, strong)
+
+    monkeypatch.setattr(enumeration, "check_circuit_axioms", failing)
+    with pytest.raises(ConstructionFailure) as info:
+        enumerate_matroids(3)
+    assert str(info.value).splitlines()[0] == (
+        "modular cut family fails circuit axioms: AC0 violated"
+    )
+    assert replay_dump(info.value.dump) == (
+        {"L": mk(2, "ab")}, ["labels c", "{{a,b}, {a,c}, {b,c}}"]
+    )
+
+
 def test_extension_route_at_six(catalog_6):
     # the labelled matroids on 6 elements number 3,807 (OEIS A058673); every
     # one deletes to an entry of the n = 5 catalog
@@ -78,6 +118,32 @@ def test_extension_route_at_six(catalog_6):
     assert len(set(catalog_6.entries)) == 3807
     five = set(enumerate_matroids(5).entries)
     assert all(delete(m, 1 << 5) in five for m in catalog_6.entries)
+
+
+@pytest.mark.slow
+def test_extension_route_at_seven(catalog_6, catalog_7):
+    # 75,164 labelled matroids on 7 elements (OEIS A058673), each deleting to
+    # an entry of the n = 6 catalog
+    assert len(catalog_7) == 75164
+    assert len(set(catalog_7.entries)) == 75164
+    six = set(catalog_6.entries)
+    assert all(delete(m, 1 << 6) in six for m in catalog_7.entries)
+
+
+@pytest.mark.slow
+def test_lift_buckets_at_six(catalog_6):
+    # the 75,164 one-element lifts key every certified pair with step <= 1:
+    # 3,807 with step 0 and 67,550 with step 1, as counted by the independent
+    # flats route (M is a quotient of L iff every flat of M is a flat of L)
+    buckets = lift_buckets(catalog_6)
+    assert sum(map(len, buckets.values())) == 75164
+    assert len(buckets) == 71357
+    steps = [0, 0]
+    for i, j in buckets:
+        cert = certify_quotient(catalog_6.entries[i], catalog_6.entries[j])
+        assert cert.holds and cert.step_s <= 1
+        steps[cert.step_s] += 1
+    assert steps == [3807, 67550]
 
 
 def test_catalog_order_is_stable_and_indexable(catalogs):
@@ -178,10 +244,15 @@ def test_lift_theorem_beyond_one_element(catalogs):
                    (2, 3): 12, (3, 1): 52, (3, 2): 66, (4, 1): 338}
 
 
-@pytest.mark.slow
 def test_lift_theorem_beyond_one_element_at_six(catalogs, catalog_6):
     got = {(n, 6 - n): lift_theorem_keys(catalogs[n], catalog_6, 6 - n) for n in range(1, 6)}
     assert got == {(1, 5): 3, (2, 4): 12, (3, 3): 67, (4, 2): 527, (5, 1): 3401}
+
+
+@pytest.mark.slow
+def test_lift_theorem_beyond_one_element_at_seven(catalogs, catalog_7):
+    got = {(n, 7 - n): lift_theorem_keys(catalogs[n], catalog_7, 7 - n) for n in range(1, 6)}
+    assert got == {(1, 6): 3, (2, 5): 12, (3, 4): 67, (4, 3): 557, (5, 2): 6845}
 
 
 def test_witness_table_covers_positive_steps(catalogs):

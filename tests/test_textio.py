@@ -24,8 +24,6 @@ from matlift.textio import (
     write_catalog,
 )
 
-from helpers import mk
-
 GOOD = """\
 # leading comment
 matroid demo
