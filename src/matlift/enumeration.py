@@ -188,7 +188,7 @@ def _extensions(l: Matroid, big: GroundSet) -> list[Matroid]:
                 "modular cut family fails circuit axioms: " + report.describe(),
                 dump_text(("L", l), extra=("labels " + big.labels[-1], big.format_family(family))),
             )
-        out.append(Matroid._from_report(report))
+        out.append(Matroid._trusted(big, family))
     return out
 
 
@@ -199,9 +199,9 @@ def _enumerate_by_circuits(g: GroundSet) -> list[Matroid]:
     out = []
 
     def grow(chosen: list[int], start: int) -> None:
-        report = check_circuit_axioms(g, SetFamily(chosen))
-        if report.passed:
-            out.append(Matroid._from_report(report))
+        fam = SetFamily(chosen)
+        if check_circuit_axioms(g, fam).passed:
+            out.append(Matroid._trusted(g, fam))
         for k in range(start, len(nonempty)):
             c = nonempty[k]
             if all(p & ~c for p in chosen):

@@ -1,10 +1,10 @@
 """The core matroid type, represented by its family of circuits.
 
 A matroid here is a ground set plus the family of its circuits (the minimal
-dependent sets), stored canonically. Holding a ``Matroid`` still proves
-that its family passed a circuit-axiom check. The constructor runs the weak
-check itself; ``Matroid._from_report`` is the one path whose check ran before
-the call, and it takes the passing report of that check, never a bare family.
+dependent sets), stored canonically. Holding a ``Matroid`` proves that a
+circuit-axiom check passed on its family, or that it is a minor or dual of
+one that did. The constructor runs the weak check; ``Matroid._trusted`` runs
+none, for minors, duals and families their caller has just checked.
 Everything else (rank, bases, duals, cyclic sets) is derived on demand.
 
 Equality is label-sensitive: two matroids are equal iff they have the same
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .axioms import AxiomReport, check_basis_exchange, check_circuit_axioms
+from .axioms import check_basis_exchange, check_circuit_axioms
 from .errors import (
     EliminationFailure,
     EmptyBasisFamily,
@@ -52,19 +52,19 @@ class Matroid:
 
     def __init__(self, ground: GroundSet, circuits: SetFamily | Iterable[int]):
         fam = circuits if isinstance(circuits, SetFamily) else SetFamily(circuits)
-        self._adopt(check_circuit_axioms(ground, fam, strong=False))
-
-    def _adopt(self, report: AxiomReport) -> None:
-        """Take the ground and family of a passing report; raise on a failed one."""
+        report = check_circuit_axioms(ground, fam, strong=False)
         if not report.passed:
             v = report.violations[0]
             if v.axiom == "AC0":
                 raise EmptyCircuit("the empty set cannot be a circuit")
             if v.axiom == "AC1":
                 raise NotClutter(*v.witness)
-            raise EliminationFailure(*v.witness[:3])
-        self.ground = report.ground
-        self.circuits = report.family
+            raise EliminationFailure(*v.witness)
+        self._adopt(ground, fam)
+
+    def _adopt(self, ground: GroundSet, circuits: SetFamily) -> None:
+        self.ground = ground
+        self.circuits = circuits
         self._rank_memo: dict[int, int] = {}
         self._through: Optional[list[list[int]]] = None
         self._levels: Optional[list[SetFamily]] = None
@@ -79,15 +79,11 @@ class Matroid:
     # --------------------------------------------------------- constructors
 
     @classmethod
-    def _from_report(cls, report: AxiomReport) -> "Matroid":
-        """The matroid of a family that already passed ``check_circuit_axioms``.
-
-        For callers that hold the passing report (weak or strong) of that
-        check, so the family is not scanned again. A failed report raises
-        what the constructor raises on the same violation.
-        """
+    def _trusted(cls, ground: GroundSet, circuits: SetFamily) -> "Matroid":
+        """The matroid with these circuits, unchecked: for a minor or dual of
+        a ``Matroid``, or a family that its caller has just checked."""
         m = cls.__new__(cls)
-        m._adopt(report)
+        m._adopt(ground, circuits)
         return m
 
     @classmethod
@@ -190,14 +186,14 @@ class Matroid:
     def dual(self) -> "Matroid":
         """Dual matroid, whose bases are the complements of this matroid's bases.
 
-        Its circuits are read off those complements by ``circuits_of_bases``.
-        No exchange check runs on the complements, since duality implies it;
-        the constructor checks the circuits on every call, since nothing is
+        Its circuits are read off those complements by ``circuits_of_bases``
+        and not checked: the dual of a matroid is one (Oxley, Matroid Theory,
+        2nd ed., 2.1). It is built afresh on every call, since nothing is
         kept. ``bases`` refuses ground sets above ``SUBSET_TABLE_CAP``.
         """
         full = self.ground.full_mask
         complements = [full & ~b for b in self.bases()]
-        return Matroid(self.ground, circuits_of_bases(self.ground, complements))
+        return Matroid._trusted(self.ground, circuits_of_bases(self.ground, complements))
 
     # ------------------------------------------------- fundamental circuits
 
@@ -299,7 +295,7 @@ def uniform_matroid(ground: GroundSet, rank: int) -> Matroid:
     return Matroid(ground, masks_of_size(n, rank + 1))
 
 
-def circuits_of_bases(ground: GroundSet, bases: Iterable[int]) -> set[int]:
+def circuits_of_bases(ground: GroundSet, bases: Iterable[int]) -> SetFamily:
     """The circuits of the matroid with these bases, as fundamental circuits.
 
     For a basis B and e outside B, the unique circuit inside B + e is e plus
@@ -314,7 +310,7 @@ def circuits_of_bases(ground: GroundSet, bases: Iterable[int]) -> set[int]:
         for e in bit_indices(ground.full_mask & ~b):
             grown = b | (1 << e)
             out.add(sum((f for f in inside if grown ^ f in bases), 1 << e))
-    return out
+    return SetFamily(out)
 
 
 def require_subset_table(ground: GroundSet) -> None:

@@ -12,9 +12,9 @@ The construction is checked, not trusted: the candidate family must pass the
 strong circuit axioms and verify_pair must find both minors equal to the
 operands, otherwise ConstructionFailure is raised. factor_homotopy builds
 its chain of single-step quotients from the closed-form stage families (the
-Higgs factorization), never from N, and raises FactorizationFailure if a
-stage fails its rank or certify check. N's minors, ``LiftWitness.stage``,
-are what that closed form is checked against, in remark_comparison.
+Higgs factorization), never from N; FactorizationFailure is raised if a
+middle family fails its circuit check or a stage its rank or certify check.
+remark_comparison checks it against N's minors, ``LiftWitness.stage``.
 
 The checked statements (span witness, cyclic extension and elimination, the
 rooted base family, the high-nullity dependence check) power the sweep
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .matroid import Matroid
 from .minors import contract, delete
-from .sets import GroundSet, SetFamily, bit_indices, masks_of_size, minimal_members
+from .sets import GroundSet, SetFamily, bit_indices, masks_of_size
 from .textio import dump_text
 
 
@@ -225,7 +225,7 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
             "constructed family fails circuit axioms: " + report.describe(),
             _dump(m, l, labels, big.format_family(candidate)),
         )
-    n = Matroid._from_report(report)  # the strong check implies the weak one
+    n = Matroid._trusted(big, candidate)
     check = verify_pair(n, big.full_mask & ~m.ground.full_mask, m, l)
     if not check.ok:
         raise ConstructionFailure(check.describe(), _dump(m, l, labels, dump_text(("N", n))))
@@ -296,12 +296,12 @@ def factor_homotopy(
     """Split a certified pair into elementary quotient steps.
 
     The ends are m and l, and middle stage i, of rank min(r_l(A), r_m(A) + i),
-    is the closed-form family at i + 1 built through the checking
-    constructor; no N is built or read. Without a ``witness`` the labels are
-    checked as ``lift_witness`` checks them. A ``witness`` for the same
-    operands, its labels ``x_labels`` up to order, stands for those checks.
-    The chain does not depend on the label order. Every stage must gain one
-    rank and consecutive stages must certify, else FactorizationFailure.
+    is the closed-form family at i + 1; no N is built or read. Without a
+    ``witness`` the labels are checked as ``lift_witness`` checks them. A
+    ``witness`` for the same operands, its labels ``x_labels`` up to order,
+    stands for those checks. The chain does not depend on the label order.
+    Every middle family must pass the weak circuit axioms, every stage gain
+    one rank and consecutive stages certify, else FactorizationFailure.
     """
     labels = tuple(x_labels)
     k = len(labels)
@@ -311,7 +311,16 @@ def factor_homotopy(
         raise PreconditionFailure("witness endpoints do not match the operands")
     elif sorted(witness.x_labels) != sorted(labels):
         raise PreconditionFailure("witness labels do not match the given order")
-    middle = [Matroid(m.ground, _remark_family(m, l, i + 1)) for i in range(1, k)]
+    middle = []
+    for i in range(1, k):
+        fam = _remark_family(m, l, i + 1)
+        report = check_circuit_axioms(m.ground, fam)
+        if not report.passed:
+            raise FactorizationFailure(
+                f"stage {i} fails the circuit axioms: " + report.describe(),
+                _dump(m, l, labels, m.ground.format_family(fam)),
+            )
+        middle.append(Matroid._trusted(m.ground, fam))
     steps = (m, *middle, l)
     base = m.rank()
     for i, stage in enumerate(steps):
@@ -337,8 +346,8 @@ def remark_circuits(m: Matroid, l: Matroid, j: int) -> tuple[SetFamily, AxiomRep
 
     Returns the circuits of l with nullity (in m) at most j, together with
     the non-empty sets cyclic in m, independent in l, of nullity exactly j,
-    plus the strong-mode axiom report of that family. The family is passed
-    through a defensive minimality filter that is asserted to change nothing.
+    plus the strong-mode axiom report of that family; a family that is no
+    antichain fails it at AC1.
     """
     outcome = _certified(m, l)
     if j < 0 or j > outcome.step_s + 1:
@@ -355,15 +364,9 @@ def _free_cyclic_sets(m: Matroid, l: Matroid, j: int) -> list[int]:
 
 
 def _remark_family(m: Matroid, l: Matroid, j: int) -> SetFamily:
-    """The closed-form stage-j family, checked to be an antichain."""
+    """The closed-form stage-j family; its callers check or compare it."""
     c_part = [c for c in l.circuits if m.nullity(c) <= j]
-    fam = SetFamily(c_part + _free_cyclic_sets(m, l, j))
-    if minimal_members(fam) != fam:
-        raise ConstructionFailure(
-            f"stage-{j} family is not an antichain",
-            _dump(m, l, (), m.ground.format_family(fam)),
-        )
-    return fam
+    return SetFamily(c_part + _free_cyclic_sets(m, l, j))
 
 
 @dataclass

@@ -99,5 +99,17 @@ def skewed_stage_two(monkeypatch):
 
 
 @pytest.fixture
+def stage_two_not_a_matroid(monkeypatch):
+    """The closed-form family at j = 2 is {a,b}, {b,c}, which fails weak
+    elimination at b, so stage 1 of a two-step pair on a, b, c is no matroid."""
+    family = quotient._remark_family
+
+    def broken(m, l, j):
+        return SetFamily([0b011, 0b110]) if j == 2 else family(m, l, j)
+
+    monkeypatch.setattr(quotient, "_remark_family", broken)
+
+
+@pytest.fixture
 def loops2():
     return mk(2, "a", "b")

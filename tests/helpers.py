@@ -178,9 +178,9 @@ def upset_extensions(l: Matroid, big: GroundSet) -> list[Matroid]:
     def grow(up: set[int], k: int) -> Iterator[Matroid]:
         if k == len(flats):
             new = [c for f, below, c in candidates if f in up and not any(b in up for b in below)]
-            report = check_circuit_axioms(big, SetFamily((*l.circuits, *new)))
-            if report.passed:
-                yield Matroid._from_report(report)
+            family = SetFamily((*l.circuits, *new))
+            if check_circuit_axioms(big, family).passed:
+                yield Matroid._trusted(big, family)
             return
         yield from grow(up, k + 1)
         f = flats[k]

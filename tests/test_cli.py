@@ -147,6 +147,15 @@ def test_factor_exits_1_with_a_replayable_dump(files, skewed_stage_two, capsys):
     assert replay_dump(dump) == ({"M": m, "L": l}, ["labels x1 x2"])
 
 
+def test_factor_exits_1_when_a_stage_is_no_matroid(files, stage_two_not_a_matroid, capsys):
+    # the failing stage family follows the operands and labels in the dump
+    assert run_command(["factor", files["u13"], files["f3"], "--labels", "x1,x2"]) == 1
+    head, dump = capsys.readouterr().out.split("\n", 1)
+    assert head.startswith("FAIL: stage 1 fails the circuit axioms")
+    m, l = parse_matroid_text(U13), parse_matroid_text(F3)
+    assert replay_dump(dump) == ({"M": m, "L": l}, ["labels x1 x2", "{{a,b}, {b,c}}"])
+
+
 def test_verify_pair_x_must_leave_an_element(files, tmp_path, capsys):
     n_path = tmp_path / "n2.txt"
     n_path.write_text("matroid n2\nground a b\nend\n")

@@ -23,7 +23,6 @@ from matlift.errors import (
     UnequalBasisSizes,
 )
 from matlift import matroid
-from matlift.axioms import check_circuit_axioms
 from matlift.enumeration import enumerate_matroids, random_matroid
 from matlift.matroid import (
     CYCLIC_ENUM_CAP,
@@ -58,20 +57,13 @@ def test_constructor_rejects_non_matroids():
         Matroid(g, [0b011, 0b101])
 
 
-def test_from_report_refuses_a_failed_report():
-    g = default_ground(3)
-    for fam, error in (([0b001, 0b011], NotClutter), ([0b011, 0b101], EliminationFailure)):
-        for strong in (False, True):
-            report = check_circuit_axioms(g, SetFamily(fam), strong=strong)
-            with pytest.raises(error):
-                Matroid._from_report(report)
-
-
-def test_from_report_takes_the_report_family(u13):
-    report = check_circuit_axioms(u13.ground, u13.circuits, strong=True)
-    m = Matroid._from_report(report)
-    assert m == u13 and m.circuits is report.family
+def test_trusted_takes_the_family_unchecked(u13):
+    m = Matroid._trusted(u13.ground, u13.circuits)
+    assert m == u13 and m.circuits is u13.circuits
     assert m.rank() == 1
+    # no check runs: a family that fails elimination goes through
+    bad = SetFamily([0b011, 0b101])
+    assert Matroid._trusted(u13.ground, bad).circuits is bad
 
 
 def test_rank_against_oracle_everywhere():

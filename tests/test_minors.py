@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from matlift import minors
+from matlift import matroid, minors
+from matlift.axioms import check_circuit_axioms
 from matlift.errors import DeletesEverything
 from matlift.matroid import Matroid
 from matlift.minors import contract, delete
@@ -75,8 +76,9 @@ def test_delete_contract_commute_on_disjoint_parts(catalogs):
 
 
 def test_duality_exchanges_the_two_minors(monkeypatch, catalogs, draws):
-    # N/z = (N* \ z)* through checked duals, apart from the cross-check; the
-    # catalogs hold every matroid on up to 4 elements, so every z is tried
+    # N/z = (N* \ z)* apart from the cross-check, and the circuit check that
+    # minors and duals skip passes on each of them; the catalogs hold every
+    # matroid on up to 4 elements, so every z is tried
     monkeypatch.setattr(minors, "CROSS_CHECK", False)
     rng = random.Random(21)
     cases = [(m, z) for n in range(1, 5) for m in catalogs[n].entries
@@ -84,7 +86,27 @@ def test_duality_exchanges_the_two_minors(monkeypatch, catalogs, draws):
     cases += [(m, rng.randrange(1, m.ground.full_mask)) for m in draws for _ in range(3)]
     assert len(cases) == 1058 + 600
     for m, z in cases:
-        assert contract(m, z) == delete(m.dual(), z).dual()
+        contracted, deleted, dual = contract(m, z), delete(m, z), m.dual()
+        for minor in (contracted, deleted, dual):
+            assert check_circuit_axioms(minor.ground, minor.circuits).passed
+        assert contracted == delete(dual, z).dual()
+
+
+def test_minors_and_duals_run_no_circuit_check(monkeypatch, catalogs):
+    # a minor or dual of a matroid is one, so neither is checked again
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_circuit_axioms(*args, **kwargs)
+
+    monkeypatch.setattr(matroid, "check_circuit_axioms", counted)
+    for m in catalogs[3].entries:
+        for z in range(1, m.ground.full_mask):
+            delete(m, z), contract(m, z), m.dual()
+    assert calls == []
+    Matroid(m.ground, m.circuits)  # the constructor still checks its input
+    assert len(calls) == 1
 
 
 def test_cross_check_disagrees_on_a_wrong_basis_family(monkeypatch):

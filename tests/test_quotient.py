@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 from matlift import quotient, sweeps
+from matlift.cli import run_command
 from matlift.enumeration import random_matroid, random_quotient_pair
 from matlift.errors import (
     ConstructionFailure,
@@ -37,7 +38,7 @@ from matlift.quotient import (
 from matlift.matroid import Matroid
 from matlift.minors import contract, delete
 from matlift.sets import SetFamily, fresh_labels
-from matlift.textio import parse_matroid_text
+from matlift.textio import parse_matroid_text, serialize_matroid_text
 from matlift.sweeps import catalog_witnesses, homotopy_sweep, lattice_stages
 
 from helpers import (
@@ -597,8 +598,20 @@ def test_factorization_failure_dumps_operands_and_labels(u13, f3, skewed_stage_t
     assert replay_dump(info.value.dump) == ({"M": u13, "L": f3}, ["labels x1 x2"])
 
 
-def test_stage_family_must_be_an_antichain(u13, f3, monkeypatch):
-    # {a,b,c} at nullity 1 contains the nullity-1 cyclic sets {a,b}, ...
+def test_a_stage_that_is_no_matroid_fails_with_its_family(u13, f3, stage_two_not_a_matroid):
+    with pytest.raises(FactorizationFailure) as info:
+        factor_homotopy(u13, f3, ("x1", "x2"))
+    assert str(info.value).splitlines()[0] == (
+        "stage 1 fails the circuit axioms: AC2 violated at {a,b}, {b,c}, element b"
+    )
+    docs, extra = replay_dump(info.value.dump)
+    assert docs == {"M": u13, "L": f3}
+    assert extra == ["labels x1 x2", "{{a,b}, {b,c}}"]
+
+
+def test_stage_family_must_be_an_antichain(u13, f3, monkeypatch, tmp_path, capsys):
+    # {a,b,c} at nullity 1 contains the nullity-1 cyclic sets {a,b}, ...; the
+    # strong report refuses the family at AC1, and so does the remark command
     cyclic_sets = Matroid.cyclic_sets
 
     def tampered(self, nullity=None):
@@ -606,10 +619,15 @@ def test_stage_family_must_be_an_antichain(u13, f3, monkeypatch):
         return SetFamily(fam.members + (0b111,)) if nullity == 1 else fam
 
     monkeypatch.setattr(Matroid, "cyclic_sets", tampered)
-    with pytest.raises(ConstructionFailure) as info:
-        remark_circuits(u13, f3, 1)
-    monkeypatch.undo()
-    assert str(info.value).splitlines()[0] == "stage-1 family is not an antichain"
-    docs, extra = replay_dump(info.value.dump)
-    assert docs == {"M": u13, "L": f3}
-    assert extra == ["labels ", "{{a,b}, {a,c}, {b,c}, {a,b,c}}"]
+    fam, report = remark_circuits(u13, f3, 1)
+    assert fam == SetFamily([0b011, 0b101, 0b110, 0b111])
+    assert report.describe() == "AC1 violated at {a,b}, {a,b,c}"
+    paths = []
+    for name, m in (("u13", u13), ("f3", f3)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(serialize_matroid_text(m, name))
+        paths.append(str(path))
+    assert run_command(["remark", *paths, "--j", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "{a,b}", "{a,c}", "{b,c}", "{a,b,c}", "AC1 violated at {a,b}, {a,b,c}"
+    ]

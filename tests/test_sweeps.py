@@ -10,6 +10,7 @@ from matlift import axioms, quotient, sweeps
 from matlift.cli import run_command
 from matlift.errors import ConstructionFailure, FactorizationFailure, PreconditionFailure
 from matlift.matroid import Matroid
+from matlift.sets import SetFamily
 from matlift.sweeps import SweepConfig, build_catalogs
 from matlift.textio import dump_text
 
@@ -105,6 +106,16 @@ def _stage_off_the_chain(monkeypatch, catalogs):
     return sweeps.homotopy_sweep(3, catalogs)
 
 
+def _stage_not_a_matroid(monkeypatch, catalogs):
+    family = quotient._remark_family
+
+    def broken(m, l, j):  # the first element inside the whole ground: no clutter
+        return SetFamily([1, m.ground.full_mask]) if j == 2 else family(m, l, j)
+
+    monkeypatch.setattr(quotient, "_remark_family", broken)
+    return sweeps.homotopy_sweep(3, catalogs)
+
+
 def _round_trip_changes(monkeypatch, catalogs):
     monkeypatch.setattr(sweeps, "parse_matroid_text", lambda text: mk(4))
     return sweeps.roundtrip_sweep(3, catalogs)
@@ -125,6 +136,7 @@ def _round_trip_changes(monkeypatch, catalogs):
         (_random_chain_refused, "lemma-randomized", {"N"}),
         (_chain_does_not_factor, "homotopy", {"M", "L", "N"}),
         (_stage_off_the_chain, "homotopy", {"M", "L", "N"}),
+        (_stage_not_a_matroid, "homotopy", {"M", "L", "N"}),
         (_round_trip_changes, "text-roundtrip", {"M", "back"}),
     ],
 )
