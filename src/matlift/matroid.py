@@ -233,15 +233,9 @@ class Matroid:
     # ------------------------------------------------------------ cyclic sets
 
     def cyclic_part(self, a: int) -> int:
-        """The union of the circuits inside ``a``, its largest cyclic subset."""
+        """The largest cyclic subset of ``a``, the union of the circuits inside it; checks ``a``."""
         self.ground.check_mask(a)
-        out = 0
-        for c in self.circuits.members:
-            if c & ~a == 0:
-                out |= c
-                if out == a:
-                    break
-        return out
+        return union_inside(self.circuits.members, a)
 
     def is_cyclic(self, a: int) -> bool:
         """True iff ``a`` is a union of circuits (the empty set counts)."""
@@ -280,6 +274,18 @@ class Matroid:
         if nullity is None:
             return SetFamily(a for level in levels for a in level)
         return levels[nullity]
+
+
+def union_inside(members: Iterable[int], a: int) -> int:
+    """The union of the members inside ``a``, the kernel of ``Matroid.cyclic_part``
+    and ``certify_quotient``; each caller vouches that ``a`` is a mask on their ground."""
+    out = 0
+    for c in members:
+        if c | a == a:
+            out |= c
+            if out == a:
+                break
+    return out
 
 
 def free_matroid(ground: GroundSet) -> Matroid:

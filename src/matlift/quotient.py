@@ -42,7 +42,7 @@ from .errors import (
     QuotientViolation,
     RankMismatch,
 )
-from .matroid import Matroid
+from .matroid import Matroid, union_inside
 from .minors import contract, delete
 from .sets import GroundSet, SetFamily, bit_indices, masks_of_size
 from .textio import dump_text
@@ -51,22 +51,19 @@ from .textio import dump_text
 # ------------------------------------------------------------- certification
 
 
-@dataclass
+@dataclass(slots=True)
 class QuotientCertificate:
     """Positive outcome: every circuit of l is a union of circuits of m.
 
-    Only the operands and the rank step are stored. ``coverings`` is computed
-    when read: it maps each circuit of l, in family order, to the tuple of
-    circuits of m lying inside it; their union is the circuit itself.
+    Only the operands and the rank step are stored; ``holds`` is a class
+    constant. ``coverings`` is computed when read: it maps each circuit of l,
+    in family order, to the circuits of m inside it, whose union it is.
     """
 
+    holds = True
     m: Matroid
     l: Matroid
     step_s: int
-
-    @property
-    def holds(self) -> bool:
-        return True
 
     @property
     def coverings(self) -> dict[int, tuple[int, ...]]:
@@ -83,18 +80,16 @@ class QuotientCertificate:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(slots=True)
 class QuotientRefusal:
-    """Negative outcome: the first offending circuit and what it misses."""
+    """Negative outcome: the first offending circuit and what it misses;
+    ``holds`` is a class constant."""
 
+    holds = False
     m: Matroid
     l: Matroid
     circuit: int
     uncovered: int
-
-    @property
-    def holds(self) -> bool:
-        return False
 
     def describe(self) -> str:
         g = self.m.ground
@@ -105,22 +100,22 @@ class QuotientRefusal:
         )
 
 
-def certify_quotient(
-    m: Matroid, l: Matroid
-) -> Union[QuotientCertificate, QuotientRefusal]:
+def certify_quotient(m: Matroid, l: Matroid) -> Union[QuotientCertificate, QuotientRefusal]:
     """Test the circuit-union criterion for the ordered pair (m, l).
 
     Scans the circuits of l in canonical order; the refusal carries the first
-    circuit d that is not a union of m's circuits, that is, whose cyclic part
-    in m is not d itself, and the part of d outside it. A certificate holds
-    no covers; it lists them when read. On success the rank step is
-    non-negative, and zero only for equal matroids; a violation of that would
-    contradict a checked statement and raises LemmaCounterexample.
+    circuit d that is not a union of m's circuits, and the part of d outside
+    their union. A certificate lists its covers only when read. On success the
+    rank step is non-negative, and zero only for equal matroids; a violation
+    would contradict a checked statement and raises LemmaCounterexample.
+    Operands sharing one ``GroundSet`` object skip the label comparison. No
+    circuit of l is mask-checked: it is a mask on l's ground, equal to m's.
     """
-    if m.ground != l.ground:
+    if m.ground is not l.ground and m.ground != l.ground:
         raise GroundMismatch(f"{m.ground!r} vs {l.ground!r}")
-    for d in l.circuits:
-        covered = m.cyclic_part(d)
+    inner = m.circuits.members
+    for d in l.circuits.members:
+        covered = union_inside(inner, d)
         if covered != d:
             return QuotientRefusal(m, l, d, d & ~covered)
     step = l.rank() - m.rank()
@@ -435,9 +430,7 @@ def _require_cyclic_pair(m: Matroid, a1: int, a2: int) -> None:
     if a1 == a2:
         raise PreconditionFailure("arguments must be distinct")
     if a2 & ~a1 == 0:
-        raise PreconditionFailure(
-            "second argument must not be contained in the first"
-        )
+        raise PreconditionFailure("second argument must not be contained in the first")
 
 
 def cyclic_extension(m: Matroid, a1: int, a2: int) -> int:
@@ -451,6 +444,11 @@ def cyclic_extension(m: Matroid, a1: int, a2: int) -> int:
     outside ``a1``.
     """
     _require_cyclic_pair(m, a1, a2)
+    return _cyclic_extension(m, a1, a2)
+
+
+def _cyclic_extension(m: Matroid, a1: int, a2: int) -> int:
+    """cyclic_extension's body, for callers that meet its preconditions."""
     i1 = m.max_independent(a1)
     union = a1 | a2
     grown = m.max_independent(union & ~a1 | i1, start=i1)
@@ -480,10 +478,14 @@ def cyclic_elimination(m: Matroid, a1: int, a2: int, a: int) -> int:
     at, so a miss is a genuine counterexample and raises LemmaCounterexample.
     """
     _require_cyclic_pair(m, a1, a2)
-    bit = 1 << a
-    if not (a1 & bit and a2 & bit):
+    if not (a1 >> a & 1 and a2 >> a & 1):
         raise PreconditionFailure("element must belong to both sets")
-    region = (a1 | a2) & ~bit
+    return _cyclic_elimination(m, a1, a2, a)
+
+
+def _cyclic_elimination(m: Matroid, a1: int, a2: int, a: int) -> int:
+    """cyclic_elimination's body, for callers that meet its preconditions."""
+    region = (a1 | a2) & ~(1 << a)
     inside = [c for c in m.cyclic_sets(nullity=m.nullity(a1)) if c & ~region == 0]
     if inside:
         return min(inside)

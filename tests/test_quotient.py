@@ -37,7 +37,7 @@ from matlift.quotient import (
 )
 from matlift.matroid import Matroid
 from matlift.minors import contract, delete
-from matlift.sets import SetFamily, fresh_labels
+from matlift.sets import GroundSet, SetFamily, fresh_labels
 from matlift.textio import parse_matroid_text, serialize_matroid_text
 from matlift.sweeps import catalog_witnesses, homotopy_sweep, lattice_stages
 
@@ -93,19 +93,25 @@ def test_loops_must_be_covered():
 
 def test_certify_agrees_with_flat_inclusion(catalogs):
     # M is a quotient of L iff every flat of M is a flat of L (Oxley, Matroid
-    # Theory, 2nd ed., Prop. 7.3.6): on every pair with n <= 4, then on
+    # Theory, 2nd ed., Prop. 7.3.6): on every pair with n <= 5, then on
     # seeded pairs at n = 6..8, lifted minor pairs and independent draws.
-    # On the catalogs, a certificate's coverings list, in L's circuit order,
-    # every circuit of M inside each circuit of L, and they union to it; a
-    # refusal names L's first circuit they do not cover, and what they miss
+    # On the catalogs with n <= 4, a certificate's coverings list, in L's
+    # circuit order, every circuit of M inside each circuit of L, and they
+    # union to it; a refusal names L's first circuit they do not cover, and
+    # what they miss. A catalog's entries share one ground object; copies on
+    # ground objects of their own take the label comparison instead, and give
+    # an equal outcome: the same type, rank step or circuit and uncovered part
     pairs = certified = 0
     for n in range(1, 5):
         entries = catalogs[n].entries
+        assert all(m.ground is catalogs[n].ground for m in entries)
+        copies = [Matroid._trusted(GroundSet(m.ground.labels), m.circuits) for m in entries]
         flats = [brute_flats(m) for m in entries]
         for i, m in enumerate(entries):
             for j, l in enumerate(entries):
                 outcome = certify_quotient(m, l)
                 assert outcome.holds == (flats[i] <= flats[j])
+                assert certify_quotient(copies[i], copies[j]) == outcome
                 pairs += 1
                 inside = {d: SetFamily(c for c in m.circuits if c & ~d == 0) for d in l.circuits}
                 missed = [d for d, fam in inside.items() if fam.union_mask != d]
@@ -119,6 +125,16 @@ def test_certify_agrees_with_flat_inclusion(catalogs):
                     d = missed[0]
                     assert (outcome.circuit, outcome.uncovered) == (d, d & ~inside[d].union_mask)
     assert (pairs, certified) == (4909, 640)
+    entries = catalogs[5].entries
+    flats = [brute_flats(m) for m in entries]
+    pairs = certified = 0
+    for i, m in enumerate(entries):
+        for j, l in enumerate(entries):
+            holds = certify_quotient(m, l).holds
+            assert holds == (flats[i] <= flats[j])
+            pairs += 1
+            certified += holds
+    assert (pairs, certified) == (164_836, 7_806)
     rng = random.Random(20261019)
     held = Counter()
     for k in range(60):
@@ -551,6 +567,25 @@ def test_cyclic_elimination_preconditions(u13):
         cyclic_elimination(u13, 0b011, 0b101, 1)  # b not shared
     with pytest.raises(PreconditionFailure):
         cyclic_elimination(u13, 0b111, 0b011, 0)  # nested the wrong way
+
+
+def test_the_lemma_checks_skip_the_cyclic_pair_preconditions(catalogs, monkeypatch):
+    # matroid_lemma_checks draws distinct cyclic sets with a2 not inside a1 and
+    # a shared element of both, so it runs the bodies without the public
+    # checks and counts the same instances; the public entry points still check
+    m = catalogs[4].entries[1]  # U(1,4)
+    counts = sweeps.matroid_lemma_checks(m)
+    assert (counts["extension"], counts["elimination"]) == (99, 120)
+
+    def refuse(*args):
+        raise AssertionError("cyclic-pair preconditions re-checked")
+
+    monkeypatch.setattr(quotient, "_require_cyclic_pair", refuse)
+    assert sweeps.matroid_lemma_checks(m) == counts
+    with pytest.raises(AssertionError, match="re-checked"):
+        cyclic_extension(m, 0, m.ground.full_mask)
+    with pytest.raises(AssertionError, match="re-checked"):
+        cyclic_elimination(m, 0, m.ground.full_mask, 0)
 
 
 def test_base_family_witness_structure(u13):
