@@ -89,10 +89,6 @@ class StillIndependent(MatliftError):
     """Adding the element keeps the set independent, no fundamental circuit."""
 
 
-class NotDependent(MatliftError):
-    """Argument set was required to be dependent."""
-
-
 # --------------------------------------------------------------------- minors
 
 

@@ -224,10 +224,8 @@ class Matroid:
 
     def fundamental_family(self, independent: int, roots: int) -> dict[int, int]:
         """The fundamental circuit over ``independent`` of every element of
-        ``roots``, keyed by the root's index."""
-        self.ground.check_mask(independent | roots)
-        if roots & independent:
-            raise PreconditionFailure("roots must lie outside the independent set")
+        ``roots``, keyed by the root's index; ``fundamental_circuit`` checks
+        each root."""
         return {x: self.fundamental_circuit(independent, x) for x in bit_indices(roots)}
 
     # ------------------------------------------------------------ cyclic sets

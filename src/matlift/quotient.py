@@ -17,10 +17,10 @@ middle family fails its circuit check or a stage its rank or certify check.
 remark_comparison checks it against N's minors, ``LiftWitness.stage``.
 
 The checked statements (span witness, cyclic extension and elimination, the
-rooted base family, the high-nullity dependence check) power the sweep
-harness; each validates its own conclusion and raises LemmaCounterexample
-if the conclusion ever fails. Every one of these failures is a CheckFailure
-whose ``dump`` (``textio.dump_text``) replays its inputs.
+rooted base family, the high-nullity check) are sweep bodies whose callers
+meet their preconditions; each checks its conclusion and raises
+LemmaCounterexample if it fails. All three failures are CheckFailures whose
+``dump`` (``textio.dump_text``) replays their inputs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import (
     GroundMismatch,
     LabelClash,
     LemmaCounterexample,
-    NotDependent,
     PreconditionFailure,
     QuotientViolation,
     RankMismatch,
@@ -411,8 +410,6 @@ def lemma_span_witness(m: Matroid, a: int) -> dict[int, int]:
     ``m.cyclic_part(a)``, the union of all circuits inside ``a``, and that
     there are exactly nullity(a) of them; failure raises LemmaCounterexample.
     """
-    if m.is_independent(a):
-        raise NotDependent(m.ground.format_mask(a))
     independent = m.max_independent(a)
     fam = m.fundamental_family(independent, a & ~independent)
     if reduce(or_, fam.values(), 0) != m.cyclic_part(a) or len(fam) != m.nullity(a):
@@ -422,33 +419,16 @@ def lemma_span_witness(m: Matroid, a: int) -> dict[int, int]:
     return fam
 
 
-def _require_cyclic_pair(m: Matroid, a1: int, a2: int) -> None:
-    """Both sets cyclic and distinct, and ``a2`` not contained in ``a1``."""
-    m.ground.check_mask(a1 | a2)
-    if not (m.is_cyclic(a1) and m.is_cyclic(a2)):
-        raise PreconditionFailure("both arguments must be cyclic")
-    if a1 == a2:
-        raise PreconditionFailure("arguments must be distinct")
-    if a2 & ~a1 == 0:
-        raise PreconditionFailure("second argument must not be contained in the first")
-
-
 def cyclic_extension(m: Matroid, a1: int, a2: int) -> int:
     """Grow a cyclic set by one unit of nullity inside a cyclic union.
 
-    Preconditions: both sets cyclic, distinct, and ``a2`` not contained in
+    The caller passes two distinct cyclic sets with ``a2`` not contained in
     ``a1`` (the containment-free direction is the one that admits a fresh
     circuit to pull in). Returns a cyclic subset of the union with nullity
     exactly one more than ``a1``'s, built by extending a maximal independent
     set of ``a1`` across the union and adding one fundamental circuit rooted
     outside ``a1``.
     """
-    _require_cyclic_pair(m, a1, a2)
-    return _cyclic_extension(m, a1, a2)
-
-
-def _cyclic_extension(m: Matroid, a1: int, a2: int) -> int:
-    """cyclic_extension's body, for callers that meet its preconditions."""
     i1 = m.max_independent(a1)
     union = a1 | a2
     grown = m.max_independent(union & ~a1 | i1, start=i1)
@@ -470,21 +450,13 @@ def _cyclic_extension(m: Matroid, a1: int, a2: int) -> int:
 def cyclic_elimination(m: Matroid, a1: int, a2: int, a: int) -> int:
     """Rebuild a cyclic set of the same nullity avoiding one shared element.
 
-    Preconditions: both sets cyclic, distinct, ``a2`` not contained in
-    ``a1``, and element ``a`` common to both. Returns a cyclic subset of the
+    The caller passes ``a1`` and ``a2`` as ``cyclic_extension`` takes them,
+    and an element ``a`` common to both. Returns a cyclic subset of the
     union avoiding ``a`` with nullity equal to ``a1``'s: the least such set
     by mask value, read off ``m.cyclic_sets`` at that nullity rather than
     found by a scan over subsets. Every cyclic set of that nullity is looked
     at, so a miss is a genuine counterexample and raises LemmaCounterexample.
     """
-    _require_cyclic_pair(m, a1, a2)
-    if not (a1 >> a & 1 and a2 >> a & 1):
-        raise PreconditionFailure("element must belong to both sets")
-    return _cyclic_elimination(m, a1, a2, a)
-
-
-def _cyclic_elimination(m: Matroid, a1: int, a2: int, a: int) -> int:
-    """cyclic_elimination's body, for callers that meet its preconditions."""
     region = (a1 | a2) & ~(1 << a)
     inside = [c for c in m.cyclic_sets(nullity=m.nullity(a1)) if c & ~region == 0]
     if inside:
@@ -501,19 +473,11 @@ def base_family_witness(
 ) -> tuple[int, dict[int, int]]:
     """Basis avoiding a chosen element whose fundamental family spans ``a``.
 
-    Preconditions: ``a`` cyclic, ``d_circuit`` a circuit inside ``a``, and
-    ``d`` an element of that circuit. Builds a basis B with d outside it such
+    The caller passes a cyclic ``a``, a circuit ``d_circuit`` inside it, and
+    an element ``d`` of that circuit. Builds a basis B with d outside it such
     that the fundamental circuits of a's leftover elements over B number
     nullity(a), include ``d_circuit`` (rooted at d), and union to ``a``.
     """
-    if not m.is_cyclic(a):
-        raise PreconditionFailure("first argument must be cyclic")
-    if d_circuit not in m.circuits:
-        raise PreconditionFailure("second argument must be a circuit")
-    if d_circuit & ~a:
-        raise PreconditionFailure("the circuit must lie inside the cyclic set")
-    if not d_circuit >> d & 1:
-        raise PreconditionFailure("the element must belong to the circuit")
     independent = m.max_independent(a, start=d_circuit & ~(1 << d))
     basis = m.max_independent(m.ground.full_mask & ~a | independent, start=independent)
     roots = a & ~independent

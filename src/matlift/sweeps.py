@@ -266,12 +266,11 @@ def matroid_lemma_checks(
     cyclic_pairs = [
         (a1, a2) for a1 in cyclic for a2 in cyclic if a1 != a2 and a2 & ~a1 != 0
     ]
-    # pairs of distinct cyclic sets, a2 not inside a1: the unchecked bodies run
     for a1, a2 in _sampled(cyclic_pairs, sample):
-        quotient._cyclic_extension(m, a1, a2)
+        quotient.cyclic_extension(m, a1, a2)
         counts["extension"] += 1
         for a in bit_indices(a1 & a2):
-            quotient._cyclic_elimination(m, a1, a2, a)
+            quotient.cyclic_elimination(m, a1, a2, a)
             counts["elimination"] += 1
     rooted = (
         (a, circ, d)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import GroundTooLarge, ParseError, PreconditionFailure
@@ -149,6 +150,7 @@ def dump_text(*named: tuple[str, Matroid], extra: Iterable[str] = ()) -> str:
 CATALOG_MAX_N = 16  # one hex digit per element index
 
 
+@lru_cache(maxsize=1 << CATALOG_MAX_N)  # catalog sorts key every entry by its line
 def _circuit_hex(mask: int) -> str:
     return "".join(format(i, "x") for i in bit_indices(mask))
 

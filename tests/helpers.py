@@ -249,6 +249,31 @@ def brute_cyclic_sets_by_nullity(m: Matroid) -> dict[int, set[int]]:
     return out
 
 
+def subset_bitmaps(m: Matroid) -> tuple[int, int, int]:
+    """``(circ, cyc, flats)`` of m, each an int over the 2^n subsets of its
+    ground: bit a is set iff subset a is a circuit, is cyclic (a union of
+    circuits, by ``brute_cyclic_sets``), or is a flat (by ``brute_flats``)."""
+    def bits(sets):
+        return sum(1 << a for a in sets)
+
+    return bits(m.circuits), bits(brute_cyclic_sets(m)), bits(brute_flats(m))
+
+
+def quotients_by_circuit_union(tables: list[tuple[int, int, int]]) -> list[list[int]]:
+    """For each index j of ``subset_bitmaps`` rows, the indices i with
+    (M_i, L_j) a quotient by the paper's test: every circuit of L_j is cyclic
+    in M_i, ``circ_L & ~cyc_M == 0``."""
+    cycs = [cyc for _, cyc, _ in tables]
+    return [[i for i, cyc in enumerate(cycs) if circ & ~cyc == 0] for circ, _, _ in tables]
+
+
+def quotients_by_flats(tables: list[tuple[int, int, int]]) -> list[list[int]]:
+    """``quotients_by_circuit_union`` by the independent route: every flat of
+    M_i is a flat of L_j, ``flats_M & ~flats_L == 0`` (Oxley, Prop. 7.3.6)."""
+    flats = [f for _, _, f in tables]
+    return [[i for i, f in enumerate(flats) if f & ~upper == 0] for upper in flats]
+
+
 def scan_cyclic_elimination(
     by_nullity: dict[int, set[int]], a1: int, a2: int, a: int
 ) -> Optional[int]:

@@ -8,6 +8,7 @@ exactly.
 
 import random
 import time
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -32,10 +33,14 @@ from matlift.textio import parse_pair_line
 
 from helpers import (
     brute_minimal_dependent,
+    brute_rank,
     enumerate_by_bases,
     gf_rank,
     mk,
+    quotients_by_circuit_union,
+    quotients_by_flats,
     replay_dump,
+    subset_bitmaps,
     upset_extensions,
 )
 
@@ -144,6 +149,36 @@ def test_lift_buckets_at_six(catalog_6):
         assert cert.holds and cert.step_s <= 1
         steps[cert.step_s] += 1
     assert steps == [3807, 67550]
+
+
+@pytest.fixture(scope="module")
+def bitmaps_6(catalog_6):
+    """``subset_bitmaps`` of every n = 6 entry, in catalog order."""
+    return [subset_bitmaps(m) for m in catalog_6.entries]
+
+
+def _decided(catalog, quotients):
+    """Rank step of every pair (i, j) that a ``quotients_by_*`` kernel lists."""
+    ranks = [brute_rank(m) for m in catalog.entries]
+    return {(i, j): ranks[j] - ranks[i] for j, lower in enumerate(quotients) for i in lower}
+
+
+def test_decide_gate_at_six(catalog_6, bitmaps_6):
+    # both kernels decide all 14,493,249 ordered pairs and agree on each
+    quotients = quotients_by_circuit_union(bitmaps_6)
+    assert quotients == quotients_by_flats(bitmaps_6)
+    decided = _decided(catalog_6, quotients)
+    assert len(decided) == 239_858
+    assert Counter(decided.values()) == {
+        0: 3807, 1: 67_550, 2: 122_079, 3: 42_158, 4: 4137, 5: 126, 6: 1
+    }
+
+
+@pytest.mark.slow
+def test_certify_agrees_with_the_decide_gate_at_six(catalog_6, bitmaps_6):
+    # certify_quotient on every ordered pair certifies exactly the gate's
+    # pairs, with the same rank steps
+    assert catalog_6.certified == _decided(catalog_6, quotients_by_circuit_union(bitmaps_6))
 
 
 def test_catalog_order_is_stable_and_indexable(catalogs):

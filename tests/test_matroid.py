@@ -174,6 +174,8 @@ def test_fundamental_circuit_is_unique_and_contains_x(u13):
 
 def test_fundamental_family_partitions_roots(u23):
     assert u23.fundamental_family(0b011, 0b100) == {2: 0b111}
+    with pytest.raises(PreconditionFailure):
+        u23.fundamental_family(0b011, 0b110)  # root b lies in {a,b}
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from matlift.errors import (
     GroundMismatch,
     LabelClash,
     LemmaCounterexample,
-    NotDependent,
     PreconditionFailure,
     QuotientViolation,
     RankMismatch,
@@ -35,9 +34,9 @@ from matlift.quotient import (
     remark_comparison,
     verify_pair,
 )
-from matlift.matroid import Matroid
+from matlift.matroid import Matroid, uniform_matroid
 from matlift.minors import contract, delete
-from matlift.sets import GroundSet, SetFamily, fresh_labels
+from matlift.sets import GroundSet, SetFamily, fresh_labels, masks_of_size
 from matlift.textio import parse_matroid_text, serialize_matroid_text
 from matlift.sweeps import catalog_witnesses, homotopy_sweep, lattice_stages
 
@@ -410,6 +409,36 @@ def test_formula_route_is_the_higgs_factorization_on_random_pairs():
     assert (lifted, middle) == (17, 15)
 
 
+def _vamos() -> Matroid:
+    """The Vamos matroid V on a-h, of rank 4 and representable over no
+    field. Its circuit-hyperplanes are the unions of two of the pairs ab, cd,
+    ef, gh except efgh; its other circuits are the 5-sets that hold none of
+    them."""
+    g = GroundSet("abcdefgh")
+    planes = [g.mask_of(tuple(w)) for w in ("abcd", "abef", "abgh", "cdef", "cdgh")]
+    fives = [sum(1 << i for i in c) for c in combinations(range(8), 5)]
+    return Matroid(g, planes + [f for f in fives if all(p & ~f for p in planes)])
+
+
+def test_the_vamos_matroid_lifts_and_factors():
+    # the first matroid here that no field represents: both pairs certify,
+    # each lift has the closed-form ranks, and the chain is N's minors
+    v = _vamos()
+    assert (v.rank(), len(v.circuits)) == (4, 41)
+    u38, u88 = uniform_matroid(v.ground, 3), uniform_matroid(v.ground, 8)
+    for m, l, step, members in ((u38, v, 1, 106), (v, u88, 4, 205)):
+        assert certify_quotient(m, l).step_s == step
+        w = lift(m, l)
+        assert len(w.n.circuits) == members
+        for a in range(1 << 8):
+            for k in range(step + 1):
+                want = brute_lift_rank(m, l, step, a, k)
+                assert all(w.n.rank(a | y << 8) == want for y in masks_of_size(step, k))
+        chain = factor_homotopy(m, l, w.x_labels, witness=w)
+        for d, stage in enumerate(lattice_stages(w)):
+            assert stage == chain.steps[d.bit_count()]
+
+
 def test_homotopy_sweep_fails_on_a_stage_off_the_closed_form(catalogs, monkeypatch):
     # the chain factors, but its stage 1 is not N's minor at any one deleted label
     factor = quotient.factor_homotopy
@@ -508,8 +537,6 @@ def test_remark_comparison_reads_the_witness_route(u13, f3, monkeypatch):
 
 def test_span_witness_on_a_circuit(u13):
     assert lemma_span_witness(u13, 0b011) == {1: 0b011}
-    with pytest.raises(NotDependent):
-        lemma_span_witness(u13, 0b001)
 
 
 def test_span_witness_counts_nullity(u13):
@@ -523,15 +550,6 @@ def test_cyclic_extension_grows_nullity(u13):
     assert u13.is_cyclic(grown)
     assert u13.nullity(grown) == 2
     assert grown & ~0b111 == 0 and 0b011 & ~grown == 0
-
-
-def test_cyclic_extension_preconditions(u13, u23):
-    with pytest.raises(PreconditionFailure):
-        cyclic_extension(u13, 0b011, 0b011)  # not distinct
-    with pytest.raises(PreconditionFailure):
-        cyclic_extension(u13, 0b111, 0b011)  # nested the wrong way
-    with pytest.raises(PreconditionFailure):
-        cyclic_extension(u13, 0b001, 0b110)  # first set not cyclic
 
 
 def test_cyclic_elimination_avoids_the_shared_element(u13):
@@ -562,44 +580,11 @@ def test_cyclic_elimination_matches_the_subset_scan(catalogs):
     assert checked == 58_491
 
 
-def test_cyclic_elimination_preconditions(u13):
-    with pytest.raises(PreconditionFailure):
-        cyclic_elimination(u13, 0b011, 0b101, 1)  # b not shared
-    with pytest.raises(PreconditionFailure):
-        cyclic_elimination(u13, 0b111, 0b011, 0)  # nested the wrong way
-
-
-def test_the_lemma_checks_skip_the_cyclic_pair_preconditions(catalogs, monkeypatch):
-    # matroid_lemma_checks draws distinct cyclic sets with a2 not inside a1 and
-    # a shared element of both, so it runs the bodies without the public
-    # checks and counts the same instances; the public entry points still check
-    m = catalogs[4].entries[1]  # U(1,4)
-    counts = sweeps.matroid_lemma_checks(m)
-    assert (counts["extension"], counts["elimination"]) == (99, 120)
-
-    def refuse(*args):
-        raise AssertionError("cyclic-pair preconditions re-checked")
-
-    monkeypatch.setattr(quotient, "_require_cyclic_pair", refuse)
-    assert sweeps.matroid_lemma_checks(m) == counts
-    with pytest.raises(AssertionError, match="re-checked"):
-        cyclic_extension(m, 0, m.ground.full_mask)
-    with pytest.raises(AssertionError, match="re-checked"):
-        cyclic_elimination(m, 0, m.ground.full_mask, 0)
-
-
 def test_base_family_witness_structure(u13):
     basis, fam = base_family_witness(u13, 0b111, 0b011, 0)
     assert basis == 0b010
     assert fam == {0: 0b011, 2: 0b110}
     assert len(fam) == u13.nullity(0b111)
-
-
-def test_base_family_witness_preconditions(u13):
-    with pytest.raises(PreconditionFailure):
-        base_family_witness(u13, 0b111, 0b011, 2)  # c outside the circuit
-    with pytest.raises(PreconditionFailure):
-        base_family_witness(u13, 0b011, 0b101, 0)  # circuit not inside the set
 
 
 def test_bigcyclo_families(u13, u23, f3):
@@ -624,6 +609,22 @@ def test_lemma_counterexamples_dump_their_operands(u13, f3):
         sweeps._pair_statements(f3, u13, 0, Counter())
     assert str(info.value).splitlines()[0] == "independent set {a,b} lost upstairs"
     assert replay_dump(info.value.dump) == ({"M": f3, "L": u13}, [])
+
+
+def test_each_lemma_conclusion_check_dumps_its_matroid(u13):
+    # the statements leave their preconditions to the caller but keep their
+    # conclusion checks: on these inputs, each with a2 inside a1 or the
+    # circuit outside the cyclic set, the conclusion fails with a dump of M
+    for statement, args, message in (
+        (cyclic_extension, (0b111, 0b011), "no root outside the first set"),
+        (cyclic_elimination, (0b111, 0b011, 0), "no replacement cyclic set avoiding a in {a,b,c}"),
+        (base_family_witness, (0b011, 0b101, 0),
+         "rooted base family failed on {a,b}, circuit {a,c}, element a"),
+    ):
+        with pytest.raises(LemmaCounterexample) as info:
+            statement(u13, *args)
+        assert str(info.value).splitlines()[0] == message
+        assert replay_dump(info.value.dump) == ({"M": u13}, [])
 
 
 def test_factorization_failure_dumps_operands_and_labels(u13, f3, skewed_stage_two):
