@@ -2,13 +2,14 @@
 
 Both checkers take a raw family, so candidates can be screened before a
 validated matroid exists. They return a report instead of raising; bulk scans
-over garbage input stay cheap and callers decide what a failure means.
+over garbage input stay cheap and callers decide what a failure means. A
+caller that refuses the family raises ``errors.NotAMatroid`` with the report.
 
 Scan order is fixed: family members in canonical order, elements in ascending
 bit order, and checking stops at the first violation (weak elimination settles
 all shared elements of a pair in one scan and reports the least failing one).
-The witness in a failed report is therefore the least violation under that
-order, and replaying it against the same family reproduces the failure.
+A report therefore holds at most one violation, the least under that order,
+and replaying its witness against the same family reproduces the failure.
 
 Axiom identifiers:
 
@@ -26,6 +27,7 @@ Axiom identifiers:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .sets import GroundSet, SetFamily, bit_indices
 
@@ -58,22 +60,19 @@ class Violation:
 
 @dataclass(frozen=True)
 class AxiomReport:
+    """A check's outcome: the first violation found, or None if every axiom holds."""
+
     ground: GroundSet
-    family: SetFamily
-    violations: tuple[Violation, ...]
+    violation: Optional[Violation] = None
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return self.violation is None
 
     def describe(self) -> str:
-        if self.passed:
+        if self.violation is None:
             return "all axioms hold"
-        return "; ".join(v.describe(self.ground) for v in self.violations)
-
-
-def _report(ground: GroundSet, family: SetFamily, *violations: Violation) -> AxiomReport:
-    return AxiomReport(ground, family, tuple(violations))
+        return self.violation.describe(self.ground)
 
 
 def check_circuit_axioms(
@@ -91,11 +90,11 @@ def check_circuit_axioms(
     ground.check_mask(family.union_mask if family else 0)
     ms = family.members
     if 0 in ms:
-        return _report(ground, family, Violation("AC0", (0,)))
+        return AxiomReport(ground, Violation("AC0", (0,)))
     for i, small in enumerate(ms):
         for j in range(i + 1, len(ms)):
             if small != ms[j] and small & ~ms[j] == 0:
-                return _report(ground, family, Violation("AC1", (small, ms[j])))
+                return AxiomReport(ground, Violation("AC1", (small, ms[j])))
     for i, c1 in enumerate(ms):
         for j in range(i + 1, len(ms)):
             c2 = ms[j]
@@ -112,7 +111,7 @@ def check_circuit_axioms(
                             break
                 if meet:
                     e = (meet & -meet).bit_length() - 1
-                    return _report(ground, family, Violation("AC2", (c1, c2, e)))
+                    return AxiomReport(ground, Violation("AC2", (c1, c2, e)))
                 continue
             for e in bit_indices(common):
                 region = (c1 | c2) & ~(1 << e)
@@ -121,7 +120,7 @@ def check_circuit_axioms(
                     if c & ~region == 0:
                         cover |= c
                 if cover == 0:
-                    return _report(ground, family, Violation("AC2", (c1, c2, e)))
+                    return AxiomReport(ground, Violation("AC2", (c1, c2, e)))
                 missing = (c1 ^ c2) & ~cover
                 if missing:
                     d = next(bit_indices(missing))
@@ -129,8 +128,8 @@ def check_circuit_axioms(
                         wit = (c1, c2, e, d)
                     else:
                         wit = (c2, c1, e, d)
-                    return _report(ground, family, Violation("AC2!", wit))
-    return _report(ground, family)
+                    return AxiomReport(ground, Violation("AC2!", wit))
+    return AxiomReport(ground)
 
 
 def check_basis_exchange(ground: GroundSet, family: SetFamily) -> AxiomReport:
@@ -138,11 +137,11 @@ def check_basis_exchange(ground: GroundSet, family: SetFamily) -> AxiomReport:
     ground.check_mask(family.union_mask if family else 0)
     ms = family.members
     if not ms:
-        return _report(ground, family, Violation("AB0", ()))
+        return AxiomReport(ground, Violation("AB0", ()))
     size = ms[0].bit_count()
     for b in ms[1:]:
         if b.bit_count() != size:
-            return _report(ground, family, Violation("AB1", (ms[0], b)))
+            return AxiomReport(ground, Violation("AB1", (ms[0], b)))
     members = set(ms)
     for b1 in ms:
         for b2 in ms:
@@ -153,5 +152,5 @@ def check_basis_exchange(ground: GroundSet, family: SetFamily) -> AxiomReport:
             for x in bit_indices(out):
                 base = b1 & ~(1 << x)
                 if not any(base | (1 << y) in members for y in bit_indices(into)):
-                    return _report(ground, family, Violation("AB2", (b1, b2, x)))
-    return _report(ground, family)
+                    return AxiomReport(ground, Violation("AB2", (b1, b2, x)))
+    return AxiomReport(ground)

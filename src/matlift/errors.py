@@ -2,11 +2,21 @@
 
 Every failure a caller can provoke has a named type so tests and the CLI can
 tell usage errors, refused preconditions, and genuine counterexamples apart.
-A failed check (construction, factorization or checked statement) is a
-CheckFailure and carries a dump of its inputs that replays.
+An error that has an outcome object carries it and takes its message from
+that object's ``describe()``: a family failing its axioms is a NotAMatroid
+holding the one-violation ``AxiomReport``, and a refused quotient is a
+QuotientViolation holding the ``QuotientRefusal``. No error formats a mask
+itself. A failed check (construction, factorization or checked statement) is
+a CheckFailure and carries a dump of its inputs that replays.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # annotations only: both modules depend on this one
+    from .axioms import AxiomReport
+    from .quotient import QuotientRefusal
 
 
 class MatliftError(Exception):
@@ -35,58 +45,13 @@ class GroundTooLarge(MatliftError):
 # ------------------------------------------------------- matroid construction
 
 
-class EmptyCircuit(MatliftError):
-    """A candidate circuit family contains the empty set."""
+class NotAMatroid(MatliftError):
+    """A candidate circuit or basis family fails its axioms; ``report`` is the
+    failed ``axioms.AxiomReport`` and the message is its ``describe()``."""
 
-
-class NotClutter(MatliftError):
-    """A candidate circuit family contains a nested pair."""
-
-    def __init__(self, inner: int, outer: int, message: str = ""):
-        self.inner = inner
-        self.outer = outer
-        super().__init__(message or f"nested circuits: mask {inner:#x} inside {outer:#x}")
-
-
-class EliminationFailure(MatliftError):
-    """Circuit elimination fails for a witness triple (c1, c2, e)."""
-
-    def __init__(self, c1: int, c2: int, e: int, message: str = ""):
-        self.c1 = c1
-        self.c2 = c2
-        self.e = e
-        super().__init__(
-            message or f"no circuit inside union of {c1:#x} and {c2:#x} avoiding element {e}"
-        )
-
-
-class EmptyBasisFamily(MatliftError):
-    """from_bases needs at least one basis."""
-
-
-class UnequalBasisSizes(MatliftError):
-    """Bases of different cardinalities."""
-
-
-class ExchangeFailure(MatliftError):
-    """Basis exchange fails for a witness triple (b1, b2, x)."""
-
-    def __init__(self, b1: int, b2: int, x: int, message: str = ""):
-        self.b1 = b1
-        self.b2 = b2
-        self.x = x
-        super().__init__(message or f"exchange fails for {b1:#x}, {b2:#x} at element {x}")
-
-
-# ------------------------------------------------------ derived-quantity args
-
-
-class NotIndependent(MatliftError):
-    """Argument set was required to be independent."""
-
-
-class StillIndependent(MatliftError):
-    """Adding the element keeps the set independent, no fundamental circuit."""
+    def __init__(self, report: AxiomReport):
+        self.report = report
+        super().__init__(report.describe())
 
 
 # --------------------------------------------------------------------- minors
@@ -104,15 +69,12 @@ class GroundMismatch(MatliftError):
 
 
 class QuotientViolation(MatliftError):
-    """The circuit-union criterion fails; carries the offending circuit."""
+    """The circuit-union criterion fails; ``refusal`` is the
+    ``quotient.QuotientRefusal`` and the message is its ``describe()``."""
 
-    def __init__(self, circuit: int, uncovered: int, message: str = ""):
-        self.circuit = circuit
-        self.uncovered = uncovered
-        super().__init__(
-            message
-            or f"circuit {circuit:#x} is not a union of lower circuits (uncovered {uncovered:#x})"
-        )
+    def __init__(self, refusal: QuotientRefusal):
+        self.refusal = refusal
+        super().__init__(refusal.describe())
 
 
 class RankMismatch(MatliftError):

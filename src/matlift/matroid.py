@@ -3,8 +3,9 @@
 A matroid here is a ground set plus the family of its circuits (the minimal
 dependent sets), stored canonically. Holding a ``Matroid`` proves that a
 circuit-axiom check passed on its family, or that it is a minor or dual of
-one that did. The constructor runs the weak check; ``Matroid._trusted`` runs
-none, for minors, duals and families their caller has just checked.
+one that did. The constructor runs the weak check and raises NotAMatroid,
+carrying the failed report; ``Matroid._trusted`` runs none, for minors, duals
+and families their caller has just checked.
 Everything else (rank, bases, duals, cyclic sets) is derived on demand.
 
 Equality is label-sensitive: two matroids are equal iff they have the same
@@ -16,18 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .axioms import check_basis_exchange, check_circuit_axioms
-from .errors import (
-    EliminationFailure,
-    EmptyBasisFamily,
-    EmptyCircuit,
-    ExchangeFailure,
-    GroundTooLarge,
-    NotClutter,
-    NotIndependent,
-    PreconditionFailure,
-    StillIndependent,
-    UnequalBasisSizes,
-)
+from .errors import GroundTooLarge, NotAMatroid, PreconditionFailure
 from .sets import GroundSet, SetFamily, bit_indices, masks_of_size
 
 # cyclic_sets without a filter refuses ground sets above this many elements,
@@ -54,12 +44,7 @@ class Matroid:
         fam = circuits if isinstance(circuits, SetFamily) else SetFamily(circuits)
         report = check_circuit_axioms(ground, fam, strong=False)
         if not report.passed:
-            v = report.violations[0]
-            if v.axiom == "AC0":
-                raise EmptyCircuit("the empty set cannot be a circuit")
-            if v.axiom == "AC1":
-                raise NotClutter(*v.witness)
-            raise EliminationFailure(*v.witness)
+            raise NotAMatroid(report)
         self._adopt(ground, fam)
 
     def _adopt(self, ground: GroundSet, circuits: SetFamily) -> None:
@@ -88,7 +73,8 @@ class Matroid:
 
     @classmethod
     def from_bases(cls, ground: GroundSet, bases: SetFamily | Iterable[int]) -> "Matroid":
-        """Build a matroid from its bases (checked for the exchange axiom).
+        """Build a matroid from its bases, checked for the exchange axiom
+        (NotAMatroid with the failed report).
 
         The circuits are read off the bases by ``circuits_of_bases``, so no
         subset is scanned and every ground size is accepted.
@@ -96,15 +82,7 @@ class Matroid:
         fam = bases if isinstance(bases, SetFamily) else SetFamily(bases)
         report = check_basis_exchange(ground, fam)
         if not report.passed:
-            v = report.violations[0]
-            if v.axiom == "AB0":
-                raise EmptyBasisFamily("need at least one basis")
-            if v.axiom == "AB1":
-                raise UnequalBasisSizes(
-                    f"{ground.format_mask(v.witness[0])} and "
-                    f"{ground.format_mask(v.witness[1])} differ in size"
-                )
-            raise ExchangeFailure(*v.witness)
+            raise NotAMatroid(report)
         return cls(ground, circuits_of_bases(ground, fam.members))
 
     # ------------------------------------------------------------- equality
@@ -200,21 +178,21 @@ class Matroid:
     def fundamental_circuit(self, independent: int, x: int) -> int:
         """The unique circuit inside ``independent`` plus element ``x``.
 
-        ``independent`` must be independent and ``independent + x`` dependent.
+        ``independent`` must be independent, must not hold ``x``, and must
+        become dependent when ``x`` joins it; each breach raises
+        PreconditionFailure naming the set and the element by their labels.
         """
-        self.ground.check_mask(independent | (1 << x))
+        g = self.ground
+        g.check_mask(independent | (1 << x))
         if self.is_dependent(independent):
-            raise NotIndependent(self.ground.format_mask(independent))
+            raise PreconditionFailure(f"{g.format_mask(independent)} is not independent")
         if independent >> x & 1:
-            raise PreconditionFailure(
-                f"element {self.ground.labels[x]} is already in the set"
-            )
+            raise PreconditionFailure(f"element {g.labels[x]} is already in the set")
         closed = independent | (1 << x)
         found = [c for c in self._circuits_through()[x] if c & ~closed == 0]
         if not found:
-            raise StillIndependent(
-                f"{self.ground.format_mask(independent)} stays independent with "
-                f"{self.ground.labels[x]}"
+            raise PreconditionFailure(
+                f"{g.format_mask(independent)} stays independent with {g.labels[x]}"
             )
         if len(found) > 1:  # impossible for a validated matroid
             raise AssertionError(f"multiple circuits inside {closed:#x}: {found}")

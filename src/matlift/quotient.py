@@ -129,7 +129,7 @@ def _certified(m: Matroid, l: Matroid) -> QuotientCertificate:
     """The certificate for (m, l); QuotientViolation when the pair is refused."""
     outcome = certify_quotient(m, l)
     if not outcome.holds:
-        raise QuotientViolation(outcome.circuit, outcome.uncovered, outcome.describe())
+        raise QuotientViolation(outcome)
     return outcome
 
 
@@ -233,11 +233,14 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
 class VerifyReport:
     """Outcome of checking whether (n, x) realizes the pair (m, l)."""
 
-    ok: bool
     contract_ok: bool
     delete_ok: bool
     contracted: Matroid
     deleted: Matroid
+
+    @property
+    def ok(self) -> bool:
+        return self.contract_ok and self.delete_ok
 
     def describe(self) -> str:
         if self.ok:
@@ -266,9 +269,7 @@ def verify_pair(n: Matroid, x: int, m: Matroid, l: Matroid) -> VerifyReport:
             f"operands must live on {rest!r}; got {m.ground!r} and {l.ground!r}"
         )
     deleted = delete(n, x)
-    c_ok = contracted == m
-    d_ok = deleted == l
-    return VerifyReport(c_ok and d_ok, c_ok, d_ok, contracted, deleted)
+    return VerifyReport(contracted == m, deleted == l, contracted, deleted)
 
 
 # ------------------------------------------------------------- factorization

@@ -147,8 +147,11 @@ class GroundSet:
 
 
 def default_ground(n: int) -> GroundSet:
-    """Ground set with the first ``n`` lowercase letters as labels."""
-    if n < 1 or n > len(_ALPHABET):
+    """Ground set with the first ``n`` lowercase letters as labels; n < 1 is
+    InvalidGroundSet, n above the alphabet GroundTooLarge."""
+    if n < 1:
+        raise InvalidGroundSet(f"a ground set needs at least one element, got n={n}")
+    if n > len(_ALPHABET):
         raise GroundTooLarge(f"no default labels for n={n}")
     return GroundSet(_ALPHABET[:n])
 

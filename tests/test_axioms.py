@@ -101,9 +101,9 @@ def test_strong_form_follows_from_weak(catalogs):
 def test_ac0_and_ac1_violations():
     g = default_ground(3)
     rep = check_circuit_axioms(g, SetFamily([0]))
-    assert not rep.passed and rep.violations[0].axiom == "AC0"
+    assert not rep.passed and rep.violation.axiom == "AC0"
     rep = check_circuit_axioms(g, SetFamily([0b1, 0b11]))
-    assert not rep.passed and rep.violations[0].axiom == "AC1"
+    assert not rep.passed and rep.violation.axiom == "AC1"
 
 
 def test_ac2_violation_witness_is_replayable():
@@ -111,7 +111,7 @@ def test_ac2_violation_witness_is_replayable():
     fam = SetFamily([0b011, 0b101])  # eliminating the shared bit finds nothing
     rep = check_circuit_axioms(g, fam)
     assert not rep.passed
-    v = rep.violations[0]
+    v = rep.violation
     assert v.axiom == "AC2"
     c1, c2, e = v.witness
     assert {c1, c2} == {0b011, 0b101} and e == 0
@@ -125,17 +125,14 @@ def test_strong_violation_names_the_missing_element():
     # 0b01110; the weak scan passes both pairs through 0b01110 and fails on the
     # third, whose union holds no other member
     rep = check_circuit_axioms(g, fam, strong=True)
-    assert [(v.axiom, v.witness) for v in rep.violations] == [
-        ("AC2!", (0b01110, 0b10011, 1, 3))
-    ]
+    assert _verdict(rep) == ("AC2!", (0b01110, 0b10011, 1, 3))
     rep_weak = check_circuit_axioms(g, fam)
-    assert [(v.axiom, v.witness) for v in rep_weak.violations] == [
-        ("AC2", (0b10011, 0b10101, 0))
-    ]
+    assert _verdict(rep_weak) == ("AC2", (0b10011, 0b10101, 0))
 
 
 def _verdict(report):
-    return [(v.axiom, v.witness) for v in report.violations] or [None]
+    v = report.violation
+    return v and (v.axiom, v.witness)
 
 
 def _random_family(rng, n):
@@ -157,8 +154,8 @@ def test_circuit_checker_matches_per_element_oracle_on_random_families():
         g = default_ground(n)
         for strong in (False, True):
             verdict = _verdict(check_circuit_axioms(g, fam, strong=strong))
-            assert verdict == [per_element_circuit_axioms(fam, strong)], (fam, strong)
-            seen[verdict[0] and verdict[0][0]] += 1
+            assert verdict == per_element_circuit_axioms(fam, strong), (fam, strong)
+            seen[verdict and verdict[0]] += 1
     assert {"AC0", "AC1", "AC2", "AC2!", None} <= set(seen), seen
 
 
@@ -172,8 +169,8 @@ def test_circuit_checker_matches_per_element_oracle_on_catalogs(catalogs):
             for fam in families:
                 for strong in (False, True):
                     verdict = _verdict(check_circuit_axioms(m.ground, fam, strong=strong))
-                    assert verdict == [per_element_circuit_axioms(fam, strong)]
-                    failed += verdict != [None]
+                    assert verdict == per_element_circuit_axioms(fam, strong)
+                    failed += verdict is not None
             assert per_element_circuit_axioms(m.circuits, True) is None
     assert failed > 0
 
@@ -183,10 +180,10 @@ def test_basis_exchange_axioms():
     assert check_basis_exchange(g, SetFamily([0b011, 0b101, 0b110])).passed
     assert not check_basis_exchange(g, SetFamily([])).passed
     rep = check_basis_exchange(g, SetFamily([0b001, 0b011]))
-    assert not rep.passed and rep.violations[0].axiom == "AB1"
+    assert not rep.passed and rep.violation.axiom == "AB1"
     g4 = default_ground(4)
     rep = check_basis_exchange(g4, SetFamily([0b0011, 0b1100]))
-    assert not rep.passed and rep.violations[0].axiom == "AB2"
+    assert not rep.passed and rep.violation.axiom == "AB2"
 
 
 def test_report_describe_names_elements(u13):

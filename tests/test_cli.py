@@ -1,5 +1,6 @@
 """Command line behavior: outputs and the 0/1/2 exit code contract."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -36,6 +37,24 @@ def test_check_axioms_pass_and_fail(files, capsys):
     assert "strong" in capsys.readouterr().out
     assert run_command(["check-axioms", files["bad"]]) == 1
     assert "AC2" in capsys.readouterr().out
+
+
+def test_non_matroid_input_names_its_violation_as_check_axioms_does(tmp_path, capsys):
+    # a command that loads a family failing the circuit axioms exits 2 with
+    # the line check-axioms prints for it; the format cannot write an empty
+    # circuit, so that file fails to parse, with one error for both commands
+    for circuits, code, message in (
+        ("circuit a b\ncircuit b c\n", 1, "AC2 violated at {a,b}, {b,c}, element b"),
+        ("circuit a\ncircuit a b\n", 1, "AC1 violated at {a}, {a,b}"),
+        ("circuit\n", 2, "line 3: 'circuit' needs at least one label"),
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text("matroid bad\nground a b c\n" + circuits + "end\n")
+        assert run_command(["check-axioms", str(path)]) == code
+        shown = (message + "\n", "") if code == 1 else ("", f"error: {message}\n")
+        assert capsys.readouterr() == shown
+        assert run_command(["rank", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_rank_and_subset(files, capsys):
@@ -216,6 +235,20 @@ def test_enumerate_and_pairs(tmp_path, capsys):
     assert run_command(["pairs", "--n", "2", "--out", str(pairs)]) == 0
     capsys.readouterr()
     assert len(pairs.read_text().splitlines()) == 25
+
+
+@pytest.mark.parametrize("argv, lines, sha256", [
+    (["pairs", "--n", "4"], 4624,
+     "dbfad2b06c0629ef2f800aab00aaaf7d3686fb42d08a9cb8cd6a7b4ce93ab8e9"),
+    (["enumerate", "--n", "5"], 406,
+     "8c3d2fb9d7f4be057dcfc2a3a8dd7aa7f681a00dcfd1f4a6a73842e6653099d3"),
+])
+def test_catalog_and_pair_outputs_are_pinned(argv, lines, sha256, capsys):
+    # every byte of both listings is pinned: a change that reorders,
+    # reformats or alters one entry or pair record fails here
+    assert run_command(argv) == 0
+    out = capsys.readouterr().out
+    assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == (lines, sha256)
 
 
 def test_enumerate_methods(capsys):

@@ -102,7 +102,7 @@ def test_failed_extension_family_raises_with_a_replayable_dump(u13, monkeypatch)
     # family fails the circuit check
     def failing(ground, family, strong=False):
         if family == u13.circuits:
-            return AxiomReport(ground, family, (Violation("AC0", (0,)),))
+            return AxiomReport(ground, Violation("AC0", (0,)))
         return check_circuit_axioms(ground, family, strong)
 
     monkeypatch.setattr(enumeration, "check_circuit_axioms", failing)

@@ -10,18 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matlift.errors import (
-    EliminationFailure,
-    EmptyBasisFamily,
-    EmptyCircuit,
-    ExchangeFailure,
-    GroundTooLarge,
-    NotClutter,
-    NotIndependent,
-    PreconditionFailure,
-    StillIndependent,
-    UnequalBasisSizes,
-)
+from matlift.errors import GroundTooLarge, NotAMatroid, PreconditionFailure
 from matlift import matroid
 from matlift.enumeration import enumerate_matroids, random_matroid
 from matlift.matroid import (
@@ -48,13 +37,18 @@ CAT4 = enumerate_matroids(4).entries
 
 
 def test_constructor_rejects_non_matroids():
+    # one error type for every failed axiom; it carries the checker's report
+    # and says what check_circuit_axioms' report says
     g = default_ground(3)
-    with pytest.raises(EmptyCircuit):
-        Matroid(g, [0])
-    with pytest.raises(NotClutter):
-        Matroid(g, [0b001, 0b011])
-    with pytest.raises(EliminationFailure):
-        Matroid(g, [0b011, 0b101])
+    for circuits, axiom, message in (
+        ([0], "AC0", "AC0 violated"),
+        ([0b001, 0b011], "AC1", "AC1 violated at {a}, {a,b}"),
+        ([0b011, 0b101], "AC2", "AC2 violated at {a,b}, {a,c}, element a"),
+    ):
+        with pytest.raises(NotAMatroid) as info:
+            Matroid(g, circuits)
+        assert info.value.report.violation.axiom == axiom
+        assert str(info.value) == message
 
 
 def test_trusted_takes_the_family_unchecked(u13):
@@ -163,12 +157,12 @@ def test_bases_against_oracle():
 def test_fundamental_circuit_is_unique_and_contains_x(u13):
     c = u13.fundamental_circuit(0b001, 1)  # add b to {a}
     assert c == 0b011
-    with pytest.raises(NotIndependent):
+    with pytest.raises(PreconditionFailure, match=r"^\{a,b\} is not independent$"):
         u13.fundamental_circuit(0b011, 2)
-    with pytest.raises(PreconditionFailure):
+    with pytest.raises(PreconditionFailure, match="^element a is already in the set$"):
         u13.fundamental_circuit(0b001, 0)
     f = free_matroid(default_ground(2))
-    with pytest.raises(StillIndependent):
+    with pytest.raises(PreconditionFailure, match=r"^\{a\} stays independent with b$"):
         f.fundamental_circuit(0b01, 1)
 
 
@@ -284,13 +278,14 @@ def test_loops_and_nullity(loops2):
 def test_from_bases_round_trip(catalogs, draws):
     for m in [m for n in range(1, 6) for m in catalogs[n].entries] + draws:
         assert Matroid.from_bases(m.ground, brute_bases(m)) == m
-    with pytest.raises(ExchangeFailure):
-        Matroid.from_bases(default_ground(4), [0b0011, 0b1100])
-    g = default_ground(3)
-    with pytest.raises(EmptyBasisFamily):
-        Matroid.from_bases(g, [])
-    with pytest.raises(UnequalBasisSizes):
-        Matroid.from_bases(g, [0b001, 0b011])
+    for n, bases, message in (
+        (4, [0b0011, 0b1100], "AB2 violated at {a,b}, {c,d}, element a"),
+        (3, [], "AB0 violated"),
+        (3, [0b001, 0b011], "AB1 violated at {a}, {a,b}"),
+    ):
+        with pytest.raises(NotAMatroid) as info:
+            Matroid.from_bases(default_ground(n), bases)
+        assert str(info.value) == message
 
 
 def test_from_bases_takes_the_largest_grounds():

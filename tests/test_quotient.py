@@ -173,8 +173,10 @@ def test_witness_new_elements_are_never_loops_or_coloops(u13, u23, f3):
 
 
 def test_witness_refuses_non_quotient(u13, u23):
-    with pytest.raises(QuotientViolation):
+    with pytest.raises(QuotientViolation) as info:
         lift_witness(u23, u13, ("x",))
+    assert info.value.refusal == certify_quotient(u23, u13)
+    assert str(info.value) == info.value.refusal.describe()
 
 
 def test_witness_label_count_must_match_step(u13, u23, f3):

@@ -37,6 +37,11 @@ def test_ground_rejects_bad_input():
         GroundSet(())
     with pytest.raises(GroundTooLarge):
         GroundSet(tuple(f"e{i}" for i in range(25)))
+    for n in (0, -3):  # as from matlift enumerate --n 0 or pairs --n -3
+        with pytest.raises(InvalidGroundSet):
+            default_ground(n)
+    with pytest.raises(GroundTooLarge):
+        default_ground(25)
     g = default_ground(3)
     with pytest.raises(UnknownLabel):
         g.mask_of(("z",))
