@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import quotient, sweeps
 from .axioms import check_circuit_axioms
 from .enumeration import enumerate_matroids, pair_records
-from .errors import CheckFailure, LabelClash, MatliftError, QuotientViolation
+from .errors import CheckFailure, MatliftError, PreconditionFailure, QuotientViolation
 from .matroid import Matroid
 from .minors import contract, delete
 from .sets import GroundSet, SetFamily, fresh_labels
@@ -55,7 +55,7 @@ def _label_mask(ground: GroundSet, spec: Optional[str]) -> int:
 def _split_labels(spec: str) -> tuple[str, ...]:
     labels = tuple(tok for tok in spec.split(",") if tok)
     if not labels:
-        raise LabelClash("no labels given")
+        raise PreconditionFailure("no labels given")
     return labels
 
 
@@ -99,7 +99,7 @@ def _cmd_minor(args) -> int:
     con_mask = _label_mask(m.ground, args.contract)
     if del_mask & con_mask:
         overlap = m.ground.format_mask(del_mask & con_mask)
-        raise LabelClash(f"labels {overlap} appear in both --delete and --contract")
+        raise PreconditionFailure(f"labels {overlap} appear in both --delete and --contract")
     out = m
     if con_mask:
         out = contract(out, con_mask)

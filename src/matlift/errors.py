@@ -1,13 +1,26 @@
 """Exception types shared across the toolkit.
 
-Every failure a caller can provoke has a named type so tests and the CLI can
-tell usage errors, refused preconditions, and genuine counterexamples apart.
+Every failure a caller can provoke has a named type, one per kind, so tests
+and the CLI can tell unusable arguments, refused pairs and genuine
+counterexamples apart. ``MatliftError`` is the base of the 10 others:
+
+- unusable input, exit 2 from the CLI: ``InvalidGroundSet`` (an empty ground
+  set, a malformed or repeated label), ``GroundTooLarge`` (the mask width or
+  an enumeration cap), ``ParseError`` (text syntax), ``NotAMatroid`` (a family
+  fails its axioms) and ``PreconditionFailure`` (an argument an operation
+  refuses: an unknown label, a rank step or label count that does not fit,
+  clashing labels, operands on different grounds, a minor removing every
+  element);
+- a refused pair, exit 1: ``QuotientViolation``;
+- a failed check, exit 1: ``CheckFailure`` and its three kinds
+  ``ConstructionFailure``, ``FactorizationFailure`` and
+  ``LemmaCounterexample``.
+
 An error that has an outcome object carries it and takes its message from
 that object's ``describe()``: a family failing its axioms is a NotAMatroid
 holding the one-violation ``AxiomReport``, and a refused quotient is a
 QuotientViolation holding the ``QuotientRefusal``. No error formats a mask
-itself. A failed check (construction, factorization or checked statement) is
-a CheckFailure and carries a dump of its inputs that replays.
+itself. A failed check carries a dump of its inputs that replays.
 """
 
 from __future__ import annotations
@@ -23,23 +36,20 @@ class MatliftError(Exception):
     """Base class for every toolkit error."""
 
 
-# ---------------------------------------------------------------- ground sets
+# ------------------------------------------------------------------ arguments
 
 
 class InvalidGroundSet(MatliftError):
-    """Empty ground set or malformed element label."""
-
-
-class DuplicateLabel(MatliftError):
-    """The same element label appears twice."""
-
-
-class UnknownLabel(MatliftError):
-    """A label that is not part of the ground set."""
+    """Empty ground set, or a malformed or repeated element label."""
 
 
 class GroundTooLarge(MatliftError):
     """Operation exceeds the fixed mask width or an enumeration cap."""
+
+
+class PreconditionFailure(MatliftError):
+    """Arguments violate an operation's stated precondition; the message
+    names the refused labels, sets or counts."""
 
 
 # ------------------------------------------------------- matroid construction
@@ -54,18 +64,7 @@ class NotAMatroid(MatliftError):
         super().__init__(report.describe())
 
 
-# --------------------------------------------------------------------- minors
-
-
-class DeletesEverything(MatliftError):
-    """A minor operation would remove the whole ground set."""
-
-
-# -------------------------------------------------------------- quotient/lift
-
-
-class GroundMismatch(MatliftError):
-    """Operands live on different ground sets."""
+# ------------------------------------------------------------ refusals, checks
 
 
 class QuotientViolation(MatliftError):
@@ -75,18 +74,6 @@ class QuotientViolation(MatliftError):
     def __init__(self, refusal: QuotientRefusal):
         self.refusal = refusal
         super().__init__(refusal.describe())
-
-
-class RankMismatch(MatliftError):
-    """Number of new labels does not match the rank step."""
-
-
-class LabelClash(MatliftError):
-    """New element labels collide with the ground set or each other."""
-
-
-class PreconditionFailure(MatliftError):
-    """Arguments violate an operation's stated precondition."""
 
 
 class CheckFailure(MatliftError):

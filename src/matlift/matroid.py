@@ -189,16 +189,12 @@ class Matroid:
         if independent >> x & 1:
             raise PreconditionFailure(f"element {g.labels[x]} is already in the set")
         closed = independent | (1 << x)
-        found = [c for c in self._circuits_through()[x] if c & ~closed == 0]
-        if not found:
-            raise PreconditionFailure(
-                f"{g.format_mask(independent)} stays independent with {g.labels[x]}"
-            )
-        if len(found) > 1:  # impossible for a validated matroid
-            raise AssertionError(f"multiple circuits inside {closed:#x}: {found}")
-        circuit = found[0]
-        assert circuit >> x & 1
-        return circuit
+        for c in self._circuits_through()[x]:
+            if c & ~closed == 0:
+                return c
+        raise PreconditionFailure(
+            f"{g.format_mask(independent)} stays independent with {g.labels[x]}"
+        )
 
     def fundamental_family(self, independent: int, roots: int) -> dict[int, int]:
         """The fundamental circuit over ``independent`` of every element of

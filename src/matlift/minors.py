@@ -17,7 +17,7 @@ suite runs with it enabled; library callers get the direct route only.
 
 from __future__ import annotations
 
-from .errors import DeletesEverything
+from .errors import PreconditionFailure
 from .matroid import Matroid, circuits_of_bases
 from .sets import SetFamily, compress, minimal_members
 
@@ -28,7 +28,7 @@ def _keep_mask(n: Matroid, z: int) -> int:
     n.ground.check_mask(z)
     keep = n.ground.full_mask & ~z
     if keep == 0:
-        raise DeletesEverything("a minor must keep at least one element")
+        raise PreconditionFailure("a minor must keep at least one element")
     return keep
 
 

@@ -34,12 +34,9 @@ from .axioms import AxiomReport, check_circuit_axioms
 from .errors import (
     ConstructionFailure,
     FactorizationFailure,
-    GroundMismatch,
-    LabelClash,
     LemmaCounterexample,
     PreconditionFailure,
     QuotientViolation,
-    RankMismatch,
 )
 from .matroid import Matroid, union_inside
 from .minors import contract, delete
@@ -107,11 +104,12 @@ def certify_quotient(m: Matroid, l: Matroid) -> Union[QuotientCertificate, Quoti
     their union. A certificate lists its covers only when read. On success the
     rank step is non-negative, and zero only for equal matroids; a violation
     would contradict a checked statement and raises LemmaCounterexample.
-    Operands sharing one ``GroundSet`` object skip the label comparison. No
+    Operands on unequal grounds are a PreconditionFailure; operands sharing
+    one ``GroundSet`` object skip the label comparison. No
     circuit of l is mask-checked: it is a mask on l's ground, equal to m's.
     """
     if m.ground is not l.ground and m.ground != l.ground:
-        raise GroundMismatch(f"{m.ground!r} vs {l.ground!r}")
+        raise PreconditionFailure(f"{m.ground!r} vs {l.ground!r}")
     inner = m.circuits.members
     for d in l.circuits.members:
         covered = union_inside(inner, d)
@@ -179,15 +177,15 @@ def _lift_inputs(
     outcome = _certified(m, l)
     s = outcome.step_s
     if s < 1:
-        raise RankMismatch("lift construction needs rank step >= 1, got 0")
+        raise PreconditionFailure("lift construction needs rank step >= 1, got 0")
     labels = tuple(x_labels)
     if len(labels) != s:
-        raise RankMismatch(f"rank step is {s} but {len(labels)} labels were given")
+        raise PreconditionFailure(f"rank step is {s} but {len(labels)} labels were given")
     if len(set(labels)) != len(labels):
-        raise LabelClash(f"repeated lift labels in {labels}")
+        raise PreconditionFailure(f"repeated lift labels in {labels}")
     clash = set(labels) & set(m.ground.labels)
     if clash:
-        raise LabelClash(f"lift labels {sorted(clash)} already in the ground set")
+        raise PreconditionFailure(f"lift labels {sorted(clash)} already in the ground set")
     return outcome, labels, m.ground.extend(labels)  # InvalidGroundSet on a bad label
 
 
@@ -195,9 +193,9 @@ def lift_witness(m: Matroid, l: Matroid, x_labels: Sequence[str]) -> LiftWitness
     """Construct and verify the extension matroid for a certified pair.
 
     Requires rank step s >= 1 and exactly s fresh labels. Raises
-    QuotientViolation when certification fails, RankMismatch on a label-count
-    or zero-step mismatch, LabelClash on label collisions, InvalidGroundSet on
-    a bad label, and ConstructionFailure (with a replayable dump) if the
+    QuotientViolation when certification fails, PreconditionFailure on a
+    zero step, a label-count mismatch or colliding labels, InvalidGroundSet
+    on a bad label, and ConstructionFailure (with a replayable dump) if the
     family fails the strong axioms or verify_pair rejects N, which would
     contradict the existence theorem.
     """
@@ -256,16 +254,15 @@ class VerifyReport:
 def verify_pair(n: Matroid, x: int, m: Matroid, l: Matroid) -> VerifyReport:
     """Check that contracting/deleting ``x`` in ``n`` gives ``m`` and ``l``.
 
-    ``x`` must be a non-empty proper subset of n's ground (PreconditionFailure,
-    DeletesEverything), and both operands must live on the rest of it
-    (GroundMismatch).
+    ``x`` must be a non-empty proper subset of n's ground, and both operands
+    must live on the rest of it; PreconditionFailure otherwise.
     """
     if x == 0:
         raise PreconditionFailure("the lifted element set must be non-empty")
-    contracted = contract(n, x)  # UnknownLabel, DeletesEverything on a bad x
+    contracted = contract(n, x)  # refuses an x outside the ground or holding all of it
     rest = contracted.ground
     if m.ground != rest or l.ground != rest:
-        raise GroundMismatch(
+        raise PreconditionFailure(
             f"operands must live on {rest!r}; got {m.ground!r} and {l.ground!r}"
         )
     deleted = delete(n, x)

@@ -13,7 +13,7 @@ import re
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import DuplicateLabel, GroundTooLarge, InvalidGroundSet, UnknownLabel
+from .errors import GroundTooLarge, InvalidGroundSet, PreconditionFailure
 
 # Fixed mask width. Everything in this package assumes ground sets at most
 # this large; operations that scan all subsets have their own smaller caps.
@@ -80,7 +80,7 @@ class GroundSet:
             if not isinstance(lab, str) or not LABEL_RE.fullmatch(lab):
                 raise InvalidGroundSet(f"bad element label {lab!r}")
             if lab in index:
-                raise DuplicateLabel(f"duplicate element label {lab!r}")
+                raise InvalidGroundSet(f"duplicate element label {lab!r}")
             index[lab] = i
         self.labels = labels
         self._index = index
@@ -109,7 +109,7 @@ class GroundSet:
         try:
             return self._index[label]
         except KeyError:
-            raise UnknownLabel(f"element {label!r} is not in {self!r}") from None
+            raise PreconditionFailure(f"element {label!r} is not in {self!r}") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
@@ -122,8 +122,13 @@ class GroundSet:
         return tuple(self.labels[i] for i in bit_indices(mask))
 
     def check_mask(self, mask: int) -> int:
+        """``mask`` itself, if it is a subset of the ground. Bits past the
+        ground have no label, so the refusal names their positions."""
         if mask < 0 or mask & ~self.full_mask:
-            raise UnknownLabel(f"mask {mask:#x} has bits outside {self!r}")
+            if mask < 0:
+                raise PreconditionFailure(f"negative mask {mask} is not a subset of {self!r}")
+            positions = ", ".join(map(str, bit_indices(mask & ~self.full_mask)))
+            raise PreconditionFailure(f"mask has bits at positions {positions} outside {self!r}")
         return mask
 
     # -- derived ground sets

@@ -158,7 +158,8 @@ def lift_property_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
                 cert = quotient.certify_quotient(m, l)
                 if not cert.holds:
                     raise LemmaCounterexample(
-                        f"minor pair of {big!r} at x={x:#x} refused: {cert.describe()}",
+                        f"minor pair of {big!r} at x={big.ground.format_mask(x)} refused: "
+                        f"{cert.describe()}",
                         dump_text(("M", m), ("L", l), ("N", big)),
                     )
                 checked += 1
@@ -428,8 +429,10 @@ def homotopy_sweep(max_n: int, catalogs: CatalogMap) -> SweepOutcome:
             ) from exc
         for d, st in enumerate(lattice_stages(w)):
             if st != chain.steps[d.bit_count()]:
+                deleted = w.n.ground.format_mask(d << len(w.m.ground))
                 raise LemmaCounterexample(
-                    f"stage {d:#b} of {w.m!r}, {w.l!r} differs from chain stage {d.bit_count()}",
+                    f"stage deleting {deleted} of {w.m!r}, {w.l!r} differs from chain "
+                    f"stage {d.bit_count()}",
                     _witness_dump(w),
                 )
     details = (

@@ -3,16 +3,26 @@
 Everything here recomputes matroid quantities from first principles
 (independence = contains no circuit), with no shortcuts shared with the
 implementation under test. ``replay_dump`` reads a failure dump back, and
-``lift`` builds the witness of a pair on fresh labels.
+``lift`` builds the witness of a pair on fresh labels. ``random_sparse_paving``
+draws matroids with no field behind them, and ``orbit_representatives``
+picks one catalog entry per isomorphism class.
 """
 
-from itertools import combinations
-from typing import Iterator, Optional
+import random
+from itertools import combinations, permutations
+from typing import Iterator, Optional, Sequence
 
 from matlift.axioms import check_circuit_axioms
 from matlift.matroid import Matroid
 from matlift.quotient import LiftWitness, lift_witness
-from matlift.sets import GroundSet, SetFamily, bit_indices, default_ground, fresh_labels
+from matlift.sets import (
+    GroundSet,
+    SetFamily,
+    bit_indices,
+    default_ground,
+    fresh_labels,
+    masks_of_size,
+)
 from matlift.textio import catalog_line, parse_matroid_text
 
 
@@ -29,6 +39,51 @@ def mk(n_or_labels, *circuit_labels) -> Matroid:
 def lift(m: Matroid, l: Matroid) -> LiftWitness:
     """The lift witness of the certified pair (m, l), on fresh labels."""
     return lift_witness(m, l, fresh_labels(m.ground, l.rank() - m.rank()))
+
+
+def sparse_paving(ground: GroundSet, r: int, planes: Sequence[int]) -> Matroid:
+    """The sparse paving matroid of rank r with circuit-hyperplanes ``planes``,
+    r-sets that pairwise meet in at most r - 2 elements: its circuits are
+    those sets and every (r + 1)-set that holds none of them. Built through
+    the checking constructor."""
+    rest = [b for b in masks_of_size(len(ground), r + 1) if all(p & ~b for p in planes)]
+    return Matroid(ground, [*planes, *rest])
+
+
+def random_sparse_paving(rng: random.Random, n: int, r: int) -> Matroid:
+    """A seeded sparse paving matroid of rank r on ``default_ground(n)``: of n
+    random r-sets, each that meets every one kept before it in at most
+    r - 2 elements becomes a circuit-hyperplane."""
+    planes: list[int] = []
+    for _ in range(n):
+        a = sum(1 << i for i in rng.sample(range(n), r))
+        if all((a & p).bit_count() <= r - 2 for p in planes):
+            planes.append(a)
+    return sparse_paving(default_ground(n), r, planes)
+
+
+def orbit_representatives(entries: Sequence[Matroid]) -> list[int]:
+    """Indices of one entry per isomorphism class of ``entries``, a catalog:
+    matroids on one ground, closed under relabelling it. In catalog order,
+    an entry not yet marked becomes a representative and its n!
+    relabellings are marked; no canonical form is needed."""
+    n = len(entries[0].ground)
+    index = {frozenset(m.circuits): i for i, m in enumerate(entries)}
+    relabellings = []
+    for perm in permutations(range(n)):
+        image = [0] * (1 << n)  # image[a] is subset a relabelled by perm
+        for a in range(1, 1 << n):
+            low = a & -a
+            image[a] = image[a ^ low] | 1 << perm[low.bit_length() - 1]
+        relabellings.append(image)
+    marked = bytearray(len(entries))
+    reps = []
+    for i, m in enumerate(entries):
+        if not marked[i]:
+            reps.append(i)
+            for image in relabellings:
+                marked[index[frozenset(image[c] for c in m.circuits)]] = 1
+    return reps
 
 
 def submasks(mask: int) -> Iterator[int]:

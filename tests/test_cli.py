@@ -19,12 +19,17 @@ U13 = "matroid u13\nground a b c\ncircuit a b\ncircuit a c\ncircuit b c\nend\n"
 U23 = "matroid u23\nground a b c\ncircuit a b c\nend\n"
 F3 = "matroid f3\nground a b c\nend\n"
 NOT_A_MATROID = "matroid bad\nground a b c\ncircuit a b\ncircuit b c\nend\n"
+U12 = "matroid u12\nground a b\ncircuit a b\nend\n"
+U13_X = "matroid u13x\nground a b c x\ncircuit a b\ncircuit a c\ncircuit b c\nend\n"
+REPEATED = "matroid dup\nground a b a\nend\n"
+TEXTS = {"u13": U13, "u23": U23, "f3": F3, "bad": NOT_A_MATROID,
+         "u12": U12, "u13x": U13_X, "dup": REPEATED}
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, text in (("u13", U13), ("u23", U23), ("f3", F3), ("bad", NOT_A_MATROID)):
+    for name, text in TEXTS.items():
         p = tmp_path / f"{name}.txt"
         p.write_text(text)
         paths[name] = str(p)
@@ -173,6 +178,29 @@ def test_factor_exits_1_when_a_stage_is_no_matroid(files, stage_two_not_a_matroi
     assert head.startswith("FAIL: stage 1 fails the circuit axioms")
     m, l = parse_matroid_text(U13), parse_matroid_text(F3)
     assert replay_dump(dump) == ({"M": m, "L": l}, ["labels x1 x2", "{{a,b}, {b,c}}"])
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["lift", "u13", "f3", "--labels", "x"], "rank step is 2 but 1 labels were given"),
+    (["lift", "u13", "u13", "--labels", "x"], "lift construction needs rank step >= 1, got 0"),
+    (["lift", "u13", "f3", "--labels", "x,x"], "repeated lift labels in ('x', 'x')"),
+    (["lift", "u13", "f3", "--labels", "a,x"], "lift labels ['a'] already in the ground set"),
+    (["minor", "u13", "--delete", "a", "--contract", "a"],
+     "labels {a} appear in both --delete and --contract"),
+    (["lift", "u13", "u23", "--labels", ","], "no labels given"),
+    (["rank", "u13", "--set", "z"], "element 'z' is not in GroundSet(a,b,c)"),
+    (["verify-pair", "u13x", "u12", "u12", "--x", "x"],
+     "operands must live on GroundSet(a,b,c); got GroundSet(a,b) and GroundSet(a,b)"),
+    (["quotient", "u13", "u12"], "GroundSet(a,b,c) vs GroundSet(a,b)"),
+    (["minor", "u13", "--delete", "a,b,c"], "a minor must keep at least one element"),
+    (["rank", "dup"], "duplicate element label 'a'"),
+])
+def test_refused_arguments_exit_2_with_their_line(files, capsys, argv, line):
+    # one case per kind of refused argument, each pinned to its exact line:
+    # PreconditionFailure and InvalidGroundSet cover many refusals, so the
+    # message is what tells them apart
+    assert run_command([files.get(word, word) for word in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
 def test_verify_pair_x_must_leave_an_element(files, tmp_path, capsys):

@@ -37,6 +37,7 @@ from helpers import (
     enumerate_by_bases,
     gf_rank,
     mk,
+    orbit_representatives,
     quotients_by_circuit_union,
     quotients_by_flats,
     replay_dump,
@@ -179,6 +180,41 @@ def test_certify_agrees_with_the_decide_gate_at_six(catalog_6, bitmaps_6):
     # certify_quotient on every ordered pair certifies exactly the gate's
     # pairs, with the same rank steps
     assert catalog_6.certified == _decided(catalog_6, quotients_by_circuit_union(bitmaps_6))
+
+
+def test_orbit_representatives_count_the_isomorphism_classes(catalogs, catalog_6):
+    # one representative per isomorphism class: 2, 4, 8, 17, 38, 98 matroids
+    # on 1-6 elements up to isomorphism (OEIS A055545)
+    counts = [len(orbit_representatives(catalogs[n].entries)) for n in range(1, 6)]
+    assert counts + [len(orbit_representatives(catalog_6.entries))] == [2, 4, 8, 17, 38, 98]
+
+
+@pytest.mark.slow
+def test_orbit_representatives_at_seven(catalog_7):
+    # 306 matroids on 7 elements up to isomorphism (OEIS A055545)
+    assert len(orbit_representatives(catalog_7.entries)) == 306
+
+
+def test_certify_decides_every_pair_up_to_isomorphism_at_six(catalog_6, bitmaps_6):
+    # the circuit-union test commutes with relabelling, so (rep, L) for the
+    # 98 representatives and all 3,807 entries covers every ordered pair up
+    # to isomorphism: certify_quotient on those 373,086 pairs certifies
+    # exactly the pairs the flats kernel lists, with the brute-force steps
+    entries = catalog_6.entries
+    reps = orbit_representatives(entries)
+    rep_set = set(reps)
+    got = {}
+    for i in reps:
+        for j, l in enumerate(entries):
+            cert = certify_quotient(entries[i], l)
+            if cert.holds:
+                got[i, j] = cert.step_s
+    decided = _decided(catalog_6, quotients_by_flats(bitmaps_6))
+    assert got == {(i, j): s for (i, j), s in decided.items() if i in rep_set}
+    assert len(got) == 16_012
+    assert Counter(got.values()) == {
+        0: 98, 1: 2680, 2: 7183, 3: 4887, 4: 1094, 5: 69, 6: 1
+    }
 
 
 def test_catalog_order_is_stable_and_indexable(catalogs):

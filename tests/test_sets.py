@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matlift.errors import DuplicateLabel, GroundTooLarge, InvalidGroundSet, UnknownLabel
+from matlift.errors import GroundTooLarge, InvalidGroundSet, PreconditionFailure
 from matlift.sets import (
     GroundSet,
     SetFamily,
@@ -29,7 +29,7 @@ def test_ground_basics():
 
 
 def test_ground_rejects_bad_input():
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(InvalidGroundSet, match="duplicate element label 'a'"):
         GroundSet(("a", "a"))
     with pytest.raises(InvalidGroundSet):
         GroundSet(("a", "bad label"))
@@ -43,10 +43,22 @@ def test_ground_rejects_bad_input():
     with pytest.raises(GroundTooLarge):
         default_ground(25)
     g = default_ground(3)
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(PreconditionFailure, match=r"element 'z' is not in GroundSet\(a,b,c\)"):
         g.mask_of(("z",))
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(PreconditionFailure, match="bits at positions 5 outside"):
         g.check_mask(1 << 5)
+
+
+def test_check_mask_names_the_bits_outside_the_ground():
+    # bits past the ground have no label, so the refusal gives their positions
+    g = default_ground(3)
+    assert g.check_mask(0b101) == 0b101
+    with pytest.raises(PreconditionFailure) as info:
+        g.check_mask(0b1100101)
+    assert str(info.value) == "mask has bits at positions 5, 6 outside GroundSet(a,b,c)"
+    with pytest.raises(PreconditionFailure) as info:
+        g.check_mask(-1)
+    assert str(info.value) == "negative mask -1 is not a subset of GroundSet(a,b,c)"
 
 
 def test_restrict_and_extend():
@@ -55,7 +67,7 @@ def test_restrict_and_extend():
     assert small.labels == ("b", "d")
     big = g.extend(("x", "y"))
     assert big.labels == ("a", "b", "c", "d", "x", "y")
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(InvalidGroundSet, match="duplicate element label 'a'"):
         g.extend(("a",))
 
 

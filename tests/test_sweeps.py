@@ -159,6 +159,14 @@ def test_a_forced_failure_names_what_it_found(catalogs, monkeypatch):
     assert replay_dump(out.dump)[0] == {"M": catalogs[1].entries[0], "back": mk(4)}
 
 
+def test_a_refused_minor_pair_names_its_elements_by_label(catalogs, monkeypatch):
+    out = _minor_pair_refused(monkeypatch, catalogs)
+    docs, _ = replay_dump(out.dump)
+    assert out.details.startswith(
+        f"minor pair of {docs['N']!r} at x={{a}} refused: quotient fails: circuit {{b}}"
+    )
+
+
 def test_an_error_that_is_no_check_failure_propagates(catalogs, monkeypatch):
     def refuse(cat):
         raise PreconditionFailure("no lifts today")
