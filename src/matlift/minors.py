@@ -5,6 +5,10 @@ the surviving elements, ground order preserved. Deletion keeps the circuits
 that avoid the removed set. Contraction takes the traces of all circuits on
 the surviving elements, discards empty traces, and keeps the minimal ones.
 Neither is checked again: a minor of a matroid is one (Oxley, 2nd ed., 3.1).
+Nor are their parts: the minor's ground is ``GroundSet.restrict``, a
+sub-tuple of labels already checked, and deletion's circuits keep the
+canonical order of the circuits they are filtered from, so they are not
+sorted again; contraction sorts its traces once, for ``minimal_members``.
 
 ``CROSS_CHECK`` turns on an independent second route for contraction,
 N/z = (N* \\ z)*, and asserts both agree. It dualizes, deletes and dualizes
@@ -36,7 +40,9 @@ def delete(n: Matroid, z: int) -> Matroid:
     """Matroid on E minus z whose circuits are the circuits avoiding z."""
     keep = _keep_mask(n, z)
     ground = n.ground.restrict(keep)
-    circuits = SetFamily(compress(c, keep) for c in n.circuits if c & z == 0)
+    circuits = SetFamily._canonical(
+        tuple(compress(c, keep) for c in n.circuits.members if c & z == 0)
+    )
     return Matroid._trusted(ground, circuits)
 
 

@@ -109,7 +109,9 @@ def certify_quotient(m: Matroid, l: Matroid) -> Union[QuotientCertificate, Quoti
     circuit of l is mask-checked: it is a mask on l's ground, equal to m's.
     """
     if m.ground is not l.ground and m.ground != l.ground:
-        raise PreconditionFailure(f"{m.ground!r} vs {l.ground!r}")
+        raise PreconditionFailure(
+            f"quotient operands must share one ground set; got {m.ground!r} and {l.ground!r}"
+        )
     inner = m.circuits.members
     for d in l.circuits.members:
         covered = union_inside(inner, d)
@@ -299,7 +301,7 @@ def factor_homotopy(
     k = len(labels)
     if witness is None:
         _lift_inputs(m, l, labels)
-    elif witness.m != m or witness.l != l:
+    elif (witness.m is not m and witness.m != m) or (witness.l is not l and witness.l != l):
         raise PreconditionFailure("witness endpoints do not match the operands")
     elif sorted(witness.x_labels) != sorted(labels):
         raise PreconditionFailure("witness labels do not match the given order")

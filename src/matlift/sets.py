@@ -5,6 +5,15 @@ means element number ``i`` (in ground order) is present. Families of subsets
 are stored in one canonical order, cardinality first and numeric mask value
 second, so every derived object and every serialized artifact comes out the
 same way on every run.
+
+Input is checked once, where it enters: ``GroundSet(...)`` checks every label
+and ``SetFamily(...)`` sorts and deduplicates its members (as do
+``Matroid(...)`` and the text parser, on top of these). Derived objects are
+built from parts already checked and are not checked again. A restriction's
+labels are a sub-tuple of checked labels, so ``GroundSet.restrict`` checks
+only the mask; ``GroundSet.extend`` checks only the labels it adds. A family
+filtered from a canonical one, or compressed onto the kept elements, keeps
+canonical order, so ``minimal_members`` and deletion skip the sort.
 """
 
 from __future__ import annotations
@@ -41,8 +50,12 @@ def compress(mask: int, keep: int) -> int:
     """Renumber the bits of ``mask`` (a subset of ``keep``) to be consecutive.
 
     Bit ``i`` of the result is set iff the i-th lowest bit of ``keep`` is set
-    in ``mask``. Used when a minor shrinks the ground set.
+    in ``mask``. Used when a minor shrinks the ground set. When ``keep`` is
+    one run of bits, as when a minor removes the top elements, this is a shift.
     """
+    low = keep & -keep
+    if keep and keep & (keep + low) == 0:
+        return (mask & keep) >> (low.bit_length() - 1)
     out = 0
     pos = 0
     while keep:
@@ -52,10 +65,6 @@ def compress(mask: int, keep: int) -> int:
         pos += 1
         keep ^= low
     return out
-
-
-def _canon_key(mask: int) -> tuple[int, int]:
-    return (mask.bit_count(), mask)
 
 
 class GroundSet:
@@ -71,20 +80,21 @@ class GroundSet:
         labels = tuple(labels)
         if not labels:
             raise InvalidGroundSet("ground set must contain at least one element")
-        if len(labels) > MAX_GROUND_SIZE:
-            raise GroundTooLarge(
-                f"{len(labels)} elements exceeds the {MAX_GROUND_SIZE}-bit mask width"
-            )
-        index: dict[str, int] = {}
-        for i, lab in enumerate(labels):
-            if not isinstance(lab, str) or not LABEL_RE.fullmatch(lab):
-                raise InvalidGroundSet(f"bad element label {lab!r}")
-            if lab in index:
-                raise InvalidGroundSet(f"duplicate element label {lab!r}")
-            index[lab] = i
+        self._adopt(labels, _indexed({}, labels))
+
+    def _adopt(self, labels: tuple[str, ...], index: dict[str, int]) -> None:
         self.labels = labels
         self._index = index
         self.full_mask = (1 << len(labels)) - 1
+
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], index: dict[str, int]) -> "GroundSet":
+        """The ground set of ``labels``, unchecked: for labels taken from, or
+        checked against, a ground set already built; ``index`` maps each
+        label to its position."""
+        g = cls.__new__(cls)
+        g._adopt(labels, index)
+        return g
 
     # -- basics
 
@@ -134,13 +144,32 @@ class GroundSet:
     # -- derived ground sets
 
     def restrict(self, keep_mask: int) -> "GroundSet":
-        """Ground set of the elements in ``keep_mask``, order preserved."""
+        """Ground set of the elements in ``keep_mask``, order preserved.
+
+        Only the mask is checked: the labels are a sub-tuple of this ground's,
+        which were checked when it was built. An empty mask is
+        InvalidGroundSet, as ``GroundSet(())`` is.
+        """
         self.check_mask(keep_mask)
-        return GroundSet(self.labels[i] for i in bit_indices(keep_mask))
+        if not keep_mask:
+            raise InvalidGroundSet("ground set must contain at least one element")
+        if keep_mask & (keep_mask + 1) == 0:
+            labels = self.labels[: keep_mask.bit_length()]
+        else:
+            labels = tuple(self.labels[i] for i in bit_indices(keep_mask))
+        return GroundSet._trusted(labels, dict(zip(labels, range(len(labels)))))
 
     def extend(self, new_labels: Iterable[str]) -> "GroundSet":
-        """This ground set followed by ``new_labels``."""
-        return GroundSet(self.labels + tuple(new_labels))
+        """This ground set followed by ``new_labels``.
+
+        Only the new labels are checked, with the errors and messages
+        ``GroundSet(...)`` of all the labels would give: a bad, repeated or
+        clashing label is InvalidGroundSet, more than the mask width
+        GroundTooLarge.
+        """
+        new = tuple(new_labels)
+        index = _indexed(dict(self._index), new)
+        return GroundSet._trusted(self.labels + new, index)
 
     # -- formatting
 
@@ -149,6 +178,23 @@ class GroundSet:
 
     def format_family(self, family: "SetFamily | Iterable[int]") -> str:
         return "{" + ", ".join(self.format_mask(m) for m in family) + "}"
+
+
+def _indexed(index: dict[str, int], labels: tuple[str, ...]) -> dict[str, int]:
+    """``index`` (label to position) with ``labels`` appended after its
+    entries; refuses a bad or repeated label, or a total past the mask width."""
+    start = len(index)
+    if start + len(labels) > MAX_GROUND_SIZE:
+        raise GroundTooLarge(
+            f"{start + len(labels)} elements exceeds the {MAX_GROUND_SIZE}-bit mask width"
+        )
+    for i, lab in enumerate(labels, start):
+        if not isinstance(lab, str) or not LABEL_RE.fullmatch(lab):
+            raise InvalidGroundSet(f"bad element label {lab!r}")
+        if lab in index:
+            raise InvalidGroundSet(f"duplicate element label {lab!r}")
+        index[lab] = i
+    return index
 
 
 def default_ground(n: int) -> GroundSet:
@@ -183,7 +229,17 @@ class SetFamily:
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[int] = ()):
-        self.members = tuple(sorted(set(members), key=_canon_key))
+        ordered = sorted(set(members))
+        ordered.sort(key=int.bit_count)  # stable: by value within each size
+        self.members = tuple(ordered)
+
+    @classmethod
+    def _canonical(cls, members: tuple[int, ...]) -> "SetFamily":
+        """The family of ``members``, which its caller holds in canonical
+        order without repeats; nothing is sorted or checked."""
+        fam = cls.__new__(cls)
+        fam.members = members
+        return fam
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -218,12 +274,18 @@ class SetFamily:
 
 
 def minimal_members(family: SetFamily | Iterable[int]) -> SetFamily:
-    """Members of ``family`` with no proper subset in the family."""
+    """Members of ``family`` with no proper subset in the family.
+
+    Canonical order puts every proper subset of a member before it, so one
+    scan against the minimal members kept so far decides each member. The
+    result is a sub-sequence of a canonical family and is not sorted again.
+    """
     fam = family if isinstance(family, SetFamily) else SetFamily(family)
-    ms = fam.members
-    keep = []
-    for i, m in enumerate(ms):
-        # canonical order puts any proper subset strictly earlier
-        if not any(ms[j] != m and ms[j] & ~m == 0 for j in range(i)):
+    keep: list[int] = []
+    for m in fam.members:
+        for k in keep:
+            if k & ~m == 0:
+                break
+        else:
             keep.append(m)
-    return SetFamily(keep)
+    return SetFamily._canonical(tuple(keep))

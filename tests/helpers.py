@@ -9,7 +9,9 @@ picks one catalog entry per isomorphism class.
 """
 
 import random
+from functools import cache, reduce
 from itertools import combinations, permutations
+from operator import and_
 from typing import Iterator, Optional, Sequence
 
 from matlift.axioms import check_circuit_axioms
@@ -314,19 +316,51 @@ def subset_bitmaps(m: Matroid) -> tuple[int, int, int]:
     return bits(m.circuits), bits(brute_cyclic_sets(m)), bits(brute_flats(m))
 
 
-def quotients_by_circuit_union(tables: list[tuple[int, int, int]]) -> list[list[int]]:
-    """For each index j of ``subset_bitmaps`` rows, the indices i with
-    (M_i, L_j) a quotient by the paper's test: every circuit of L_j is cyclic
-    in M_i, ``circ_L & ~cyc_M == 0``."""
-    cycs = [cyc for _, cyc, _ in tables]
-    return [[i for i, cyc in enumerate(cycs) if circ & ~cyc == 0] for circ, _, _ in tables]
+@cache
+def _superset_bitmaps(n: int) -> tuple[int, ...]:
+    """Entry a is an int over the 2^n subsets of range(n) with bit b set iff
+    b contains a; entry 0 has every bit set."""
+    one = [sum(1 << b for b in range(1 << n) if b >> i & 1) for i in range(n)]
+    full = (1 << (1 << n)) - 1
+    return tuple(reduce(and_, (one[i] for i in bit_indices(a)), full) for a in range(1 << n))
 
 
-def quotients_by_flats(tables: list[tuple[int, int, int]]) -> list[list[int]]:
+def circuit_bitmaps(m: Matroid) -> tuple[int, int, int]:
+    """``subset_bitmaps`` of m read off its circuits, with no rank or subset
+    scan: a is cyclic iff each of its elements lies on a circuit inside a,
+    and a is a flat iff no circuit has exactly one element outside a."""
+    n = len(m.ground)
+    sup = _superset_bitmaps(n)
+    full = sup[0]
+    through = [0] * n
+    not_flat = 0
+    for c in m.circuits:
+        for i in bit_indices(c):
+            through[i] |= sup[c]
+            not_flat |= sup[c & ~(1 << i)] & ~sup[1 << i]
+    cyc = reduce(and_, ((full ^ sup[1 << i]) | through[i] for i in range(n)), full)
+    return sum(1 << c for c in m.circuits), cyc, full & ~not_flat
+
+
+def quotients_by_circuit_union(
+    tables: list[tuple[int, int, int]], lower: Optional[Sequence[int]] = None
+) -> list[list[int]]:
+    """For each index j of ``subset_bitmaps`` rows, the indices i (of all
+    rows, or of those in ``lower``) with (M_i, L_j) a quotient by the paper's
+    test: every circuit of L_j is cyclic in M_i, ``circ_L & ~cyc_M == 0``."""
+    rows = range(len(tables)) if lower is None else lower
+    cycs = [(i, tables[i][1]) for i in rows]
+    return [[i for i, cyc in cycs if circ & ~cyc == 0] for circ, _, _ in tables]
+
+
+def quotients_by_flats(
+    tables: list[tuple[int, int, int]], lower: Optional[Sequence[int]] = None
+) -> list[list[int]]:
     """``quotients_by_circuit_union`` by the independent route: every flat of
     M_i is a flat of L_j, ``flats_M & ~flats_L == 0`` (Oxley, Prop. 7.3.6)."""
-    flats = [f for _, _, f in tables]
-    return [[i for i, f in enumerate(flats) if f & ~upper == 0] for upper in flats]
+    rows = range(len(tables)) if lower is None else lower
+    flats = [(i, tables[i][2]) for i in rows]
+    return [[i for i, f in flats if f & ~upper == 0] for _, _, upper in tables]
 
 
 def scan_cyclic_elimination(

@@ -14,7 +14,7 @@ from itertools import combinations
 from matlift.axioms import check_basis_exchange, check_circuit_axioms
 from matlift.sets import SetFamily, default_ground
 
-from helpers import mk, per_element_circuit_axioms, submasks
+from helpers import per_element_circuit_axioms
 
 
 def _families(n):

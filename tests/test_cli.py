@@ -191,7 +191,8 @@ def test_factor_exits_1_when_a_stage_is_no_matroid(files, stage_two_not_a_matroi
     (["rank", "u13", "--set", "z"], "element 'z' is not in GroundSet(a,b,c)"),
     (["verify-pair", "u13x", "u12", "u12", "--x", "x"],
      "operands must live on GroundSet(a,b,c); got GroundSet(a,b) and GroundSet(a,b)"),
-    (["quotient", "u13", "u12"], "GroundSet(a,b,c) vs GroundSet(a,b)"),
+    (["quotient", "u13", "u12"],
+     "quotient operands must share one ground set; got GroundSet(a,b,c) and GroundSet(a,b)"),
     (["minor", "u13", "--delete", "a,b,c"], "a minor must keep at least one element"),
     (["rank", "dup"], "duplicate element label 'a'"),
 ])

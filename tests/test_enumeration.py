@@ -34,6 +34,7 @@ from matlift.textio import parse_pair_line
 from helpers import (
     brute_minimal_dependent,
     brute_rank,
+    circuit_bitmaps,
     enumerate_by_bases,
     gf_rank,
     mk,
@@ -172,6 +173,29 @@ def test_decide_gate_at_six(catalog_6, bitmaps_6):
     assert len(decided) == 239_858
     assert Counter(decided.values()) == {
         0: 3807, 1: 67_550, 2: 122_079, 3: 42_158, 4: 4137, 5: 126, 6: 1
+    }
+
+
+def test_circuit_bitmaps_equal_the_subset_scans_at_six(catalog_6, bitmaps_6):
+    # the tables the n = 7 gate reads off the circuits, against the scans
+    assert [circuit_bitmaps(m) for m in catalog_6.entries] == bitmaps_6
+
+
+@pytest.mark.slow
+def test_decide_gate_up_to_isomorphism_at_seven(catalog_7):
+    # both kernels decide (rep, L) for the 306 representatives and all 75,164
+    # entries, 23,000,184 pairs, on tables read off the circuits, and agree
+    entries = catalog_7.entries
+    reps = orbit_representatives(entries)
+    assert len(reps) * len(entries) == 23_000_184
+    tables = [circuit_bitmaps(m) for m in entries]
+    quotients = quotients_by_circuit_union(tables, reps)
+    assert quotients == quotients_by_flats(tables, reps)
+    ranks = [m.rank() for m in entries]
+    steps = Counter(ranks[j] - ranks[i] for j, lower in enumerate(quotients) for i in lower)
+    assert sum(steps.values()) == 505_304
+    assert steps == {
+        0: 306, 1: 61_030, 2: 222_866, 3: 165_482, 4: 50_794, 5: 4691, 6: 134, 7: 1
     }
 
 

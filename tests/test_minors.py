@@ -9,7 +9,7 @@ from matlift.axioms import check_circuit_axioms
 from matlift.errors import PreconditionFailure
 from matlift.matroid import Matroid
 from matlift.minors import contract, delete
-from matlift.sets import SetFamily, compress
+from matlift.sets import GroundSet, SetFamily, compress, minimal_members
 
 from helpers import brute_rank, mk
 
@@ -57,6 +57,28 @@ def test_contract_matches_rank_definition(catalogs):
                 if z == m.ground.full_mask:
                     continue
                 assert contract(m, z) == _brute_contract(m, z)
+
+
+def test_minors_are_canonical_families(catalogs):
+    # delete and minimal_members skip the sort, since filtering and compress
+    # keep canonical order; the checking constructor must agree
+    for n in range(1, 5):
+        for m in catalogs[n].entries:
+            assert minimal_members(m.circuits) == SetFamily(m.circuits.members)
+            for z in range(1, m.ground.full_mask):
+                keep = m.ground.full_mask & ~z
+                traces = {compress(c & keep, keep) for c in m.circuits} - {0}
+                least = SetFamily(
+                    t for t in traces if not any(u != t and u & ~t == 0 for u in traces)
+                )
+                assert minimal_members(traces) == least
+                for minor in (delete(m, z), contract(m, z)):
+                    assert minor.circuits == SetFamily(minor.circuits.members)
+                    assert minor.ground == GroundSet(m.ground.labels_of(keep))
+                assert delete(m, z).circuits == SetFamily(
+                    compress(c, keep) for c in m.circuits if c & z == 0
+                )
+                assert contract(m, z).circuits == least
 
 
 def test_minor_rank_formulas(catalogs):

@@ -13,6 +13,7 @@ from matlift.sets import (
     default_ground,
     fresh_labels,
     masks_of_size,
+    minimal_members,
 )
 
 from helpers import submasks
@@ -91,12 +92,58 @@ def test_masks_of_size_match_combinations():
             assert set(got) == {m for m in range(1 << n) if m.bit_count() == k}
 
 
+def _compress_by_bits(mask, keep):
+    # bit i of the result is set iff the i-th lowest bit of keep is in mask
+    kept = [b for b in range(keep.bit_length()) if keep >> b & 1]
+    return sum(1 << i for i, b in enumerate(kept) if mask >> b & 1)
+
+
 @given(st.integers(0, 2**10 - 1), st.integers(0, 2**10 - 1))
 def test_compress_matches_definition(mask, keep):
-    # bit i of the result is set iff the i-th lowest bit of keep is in mask
-    kept = [b for b in range(10) if keep >> b & 1]
-    want = sum(1 << i for i, b in enumerate(kept) if mask >> b & 1)
-    assert compress(mask & keep, keep) == want
+    assert compress(mask & keep, keep) == _compress_by_bits(mask, keep)
+
+
+def test_compress_matches_definition_on_every_subset_of_seven_bits():
+    # every keep, the empty one and the single runs that compress shifts
+    # included, and every mask inside it
+    for keep in range(1 << 7):
+        for mask in submasks(keep):
+            assert compress(mask, keep) == _compress_by_bits(mask, keep)
+
+
+def _fields(g):
+    return g.labels, g.full_mask, g._index
+
+
+def test_restrict_and_extend_equal_a_checked_ground():
+    # both build from labels already checked; they must agree with the
+    # checking constructor on every field it sets
+    g = GroundSet(("a", "b", "c", "d", "e", "f", "g"))
+    for keep in range(1, 1 << 7):
+        small = g.restrict(keep)
+        assert _fields(small) == _fields(GroundSet(g.labels_of(keep)))
+        rest = g.labels_of(g.full_mask & ~keep)
+        assert _fields(small.extend(rest)) == _fields(GroundSet(small.labels + rest))
+    with pytest.raises(InvalidGroundSet, match="^ground set must contain at least one element$"):
+        g.restrict(0)
+    with pytest.raises(PreconditionFailure, match="bits at positions 7 outside"):
+        g.restrict(1 << 7)
+
+
+@pytest.mark.parametrize("new, error, message", [
+    (("x", "bad label"), InvalidGroundSet, "bad element label 'bad label'"),
+    (("x", 3), InvalidGroundSet, "bad element label 3"),
+    (("x", "y", "x"), InvalidGroundSet, "duplicate element label 'x'"),
+    (("x", "b"), InvalidGroundSet, "duplicate element label 'b'"),
+    (tuple(f"e{i}" for i in range(22)), GroundTooLarge,
+     "25 elements exceeds the 24-bit mask width"),
+])
+def test_extend_checks_its_new_labels_as_the_constructor_does(new, error, message):
+    g = default_ground(3)
+    for build in (lambda: g.extend(new), lambda: GroundSet(g.labels + new)):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
 
 
 def test_family_canonical_order_and_dedup():
@@ -107,8 +154,12 @@ def test_family_canonical_order_and_dedup():
     assert len(fam) == 3
 
 
-def test_family_min_max():
-    from matlift.sets import minimal_members
+@given(st.lists(st.integers(0, 2**12 - 1)))
+def test_family_members_are_in_size_then_value_order(xs):
+    members = SetFamily(xs).members
+    assert members == tuple(sorted(set(xs), key=lambda m: (m.bit_count(), m)))
 
+
+def test_family_min_max():
     fam = SetFamily([0b1, 0b11, 0b100, 0b111])
     assert minimal_members(fam).members == (0b1, 0b100)
